@@ -55,8 +55,7 @@ def main():
     cfg = FinetuneConfig()
     for name, params in (("meta", meta_params), ("plain", plain_params)):
         bundle, _log = finetune(params, ds.values[split.finetune_shots],
-                                ds.labels[split.finetune_shots], cfg,
-                                np.random.default_rng(9), enc_cfg)
+                                ds.labels[split.finetune_shots], cfg, enc_cfg)
         rep = evaluate(bundle, ds.values[split.target_test],
                        ds.labels[split.target_test], ds.n_classes, 0, "",
                        enc_cfg)

@@ -16,9 +16,10 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .meta import inner_adapt
 from .models import CLF_PREFIX, ENC_PREFIX, HEAD_PREFIX, EncoderConfig, classify, \
-    default_encoder_config, encode
-from .optim import adam_step, sgd_step
+    default_encoder_config, encode, encoder_from_config, encoder_to_config
+from .optim import adam_step
 from .params import ParamVector, grad_of
 from .pretext import (PretextObjective, eval_ssl, min_batch, objective_from_config,
                       objective_kind, objective_to_config)
@@ -88,7 +89,8 @@ def pretext_replay(objective: PretextObjective, params: ParamVector,
                    rng: np.random.Generator,
                    enc_cfg: Optional[EncoderConfig] = None
                    ) -> tuple[ParamVector, ReplayLog]:
-    """cfg.steps full-batch pretext gradient steps on the shot windows.
+    """cfg.steps full-batch pretext gradient steps on the shot windows,
+    the same steps meta pre-training's inner loop takes (inner_adapt).
 
     Takes raw window values only; labels never enter. One rng stream is
     spawned per loss evaluation, in step order, plus one for the closing
@@ -100,12 +102,9 @@ def pretext_replay(objective: PretextObjective, params: ParamVector,
     if shot_values.shape[0] < min_batch(objective):
         raise AdaptError(f"{shot_values.shape[0]} shots below the objective's "
                          f"minimum batch {min_batch(objective)}")
-    theta = params
     step_losses: list[float] = []
-    for _ in range(cfg.steps):
-        out = eval_ssl(objective, theta, shot_values, rng.spawn(1)[0], enc_cfg)
-        step_losses.append(out.loss.item())
-        theta = sgd_step(theta, grad_of(out.loss, theta), cfg.lr)
+    theta = inner_adapt(objective, params, shot_values, cfg.lr, cfg.steps, rng,
+                        loss_sink=step_losses, enc_cfg=enc_cfg)
     final = eval_ssl(objective, theta, shot_values, rng.spawn(1)[0], enc_cfg).loss.item()
     before = step_losses[0] if step_losses else final
     return theta, ReplayLog(loss_before=before, loss_after=final,
@@ -132,8 +131,7 @@ def _trainable_prefixes(protocol: str) -> tuple[str, ...]:
 
 
 def finetune(params: ParamVector, shot_values: np.ndarray, shot_labels: np.ndarray,
-             cfg: FinetuneConfig, rng: np.random.Generator,
-             enc_cfg: Optional[EncoderConfig] = None
+             cfg: FinetuneConfig, enc_cfg: Optional[EncoderConfig] = None
              ) -> tuple[ParamVector, FinetuneLog]:
     """Train the classification head on the labeled shots with full-batch
     Adam and cross-entropy.
@@ -141,10 +139,8 @@ def finetune(params: ParamVector, shot_values: np.ndarray, shot_labels: np.ndarr
     Linear evaluation freezes everything but "clf." (frozen tensors are
     the same objects before and after); end-to-end also trains the
     encoder. The classifier restarts from zero weights, so epochs=0
-    yields uniform logits. rng is accepted for interface symmetry; the
-    procedure itself is deterministic.
+    yields uniform logits. The procedure is deterministic.
     """
-    del rng
     enc_cfg = enc_cfg or default_encoder_config()
     shot_values = np.asarray(shot_values, dtype=np.float32)
     shot_labels = np.asarray(shot_labels, dtype=np.int64)
@@ -205,8 +201,7 @@ def save_pretrained(model: PretrainedModel, path) -> None:
     model.params.save(path)
     meta = {"method": model.method,
             "pretext": objective_to_config(model.objective),
-            "encoder": {"blocks": [list(b) for b in model.enc_cfg.blocks],
-                        "embedding_dim": model.enc_cfg.embedding_dim},
+            "encoder": encoder_to_config(model.enc_cfg),
             "n_classes": model.n_classes}
     with open(f"{path}.json", "w") as fh:
         json.dump(meta, fh, indent=1)
@@ -219,13 +214,10 @@ def load_pretrained(path) -> PretrainedModel:
             meta = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"missing model sidecar {path}.json") from None
-    enc = meta.get("encoder", {})
-    cfg = EncoderConfig(blocks=tuple(tuple(b) for b in enc["blocks"]),
-                        embedding_dim=int(enc["embedding_dim"])) if enc \
-        else default_encoder_config()
     return PretrainedModel(params=params, method=meta["method"],
                            objective=objective_from_config(meta["pretext"]),
-                           enc_cfg=cfg, n_classes=int(meta.get("n_classes", 0)))
+                           enc_cfg=encoder_from_config(meta.get("encoder", {})),
+                           n_classes=int(meta.get("n_classes", 0)))
 
 
 @dataclass
@@ -271,6 +263,6 @@ def run_pipeline(mode: str, pretrained: PretrainedModel, ds, split,
                                             replay_cfg, rng.spawn(1)[0],
                                             pretrained.enc_cfg)
     bundle, ft_log = finetune(params, shot_values, ds.labels[shots], finetune_cfg,
-                              rng.spawn(1)[0], pretrained.enc_cfg)
+                              pretrained.enc_cfg)
     return bundle, PipelineLog(mode=mode, replay=replay_log, finetune=ft_log,
                                protocol=finetune_cfg.protocol)

@@ -2,8 +2,8 @@
 
 Used in two ways: building paired contrastive views and generating
 transformation-detection batches where the model must report which
-augmentations were applied. All transforms preserve shape, label, and
-domain, and clamp the result to [-1, 1].
+augmentations were applied. All transforms act on [C, T] window arrays,
+preserve their shape, and the batch builders clamp the result to [-1, 1].
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-
-from .data import Window
 
 
 class AugmentError(ValueError):
@@ -141,34 +139,20 @@ def apply_array(kind: AugmentKind, x: np.ndarray, rng: np.random.Generator) -> n
     raise AugmentError(f"unknown augmentation kind {kind!r}")
 
 
-def apply(kind: AugmentKind, w: Window, rng: np.random.Generator) -> Window:
-    """Apply one transform to a window; result clamped to [-1, 1]."""
-    out = np.clip(apply_array(kind, w.values, rng), -1.0, 1.0).astype(np.float32)
-    return Window(values=out, label=w.label, domain=w.domain)
-
-
 def apply_pipeline_array(pipeline: Sequence[AugmentKind], x: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:
+    """Apply the kinds of a pipeline in order to one [C, T] array, then
+    clamp once to [-1, 1]."""
     for kind in pipeline:
         x = apply_array(kind, x, rng)
     return np.clip(x, -1.0, 1.0).astype(np.float32)
 
 
-def two_views(w: Window, pipeline: Sequence[AugmentKind],
-              rng: np.random.Generator) -> tuple[Window, Window]:
-    """Two independent stochastic draws of the pipeline on the same window."""
-    if not pipeline:
-        raise AugmentError("pipeline must contain at least one kind")
-    r1, r2 = rng.spawn(2)
-    v1 = apply_pipeline_array(pipeline, w.values, r1)
-    v2 = apply_pipeline_array(pipeline, w.values, r2)
-    return (Window(values=v1, label=w.label, domain=w.domain),
-            Window(values=v2, label=w.label, domain=w.domain))
-
-
 def paired_views_batch(windows: np.ndarray, pipeline: Sequence[AugmentKind],
                        rng: np.random.Generator) -> np.ndarray:
     """[n, C, T] -> [2n, C, T] with views of window i at rows 2i and 2i+1."""
+    if not pipeline:
+        raise AugmentError("empty augmentation pipeline")
     n = windows.shape[0]
     out = np.empty((2 * n,) + windows.shape[1:], dtype=np.float32)
     streams = rng.spawn(n)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -27,9 +25,10 @@ from .adapt import (ConfigError, FinetuneConfig, PretrainedModel, ReplayConfig,
 from .data import (Dataset, DataError, DomainRecipe, SynthSpec, compute_norm_stats,
                    apply_norm, default_synth_spec, exclude_small_domains, make_split,
                    pool_split, read_csv_dataset, read_dataset, stratified_shot_split)
-from .meta import MetaHyper, TrainLog, meta_pretrain
+from .meta import MetaHyper, TrainLog, meta_pretrain, train_epochs
 from .metrics import aggregate, evaluate
-from .models import EncoderConfig, default_encoder_config, encode
+from .models import (EncoderConfig, default_encoder_config, encode,
+                     encoder_from_config, encoder_to_config)
 from .optim import adam_step
 from .params import ParamVector, grad_of
 from .pretext import (PretextObjective, eval_ssl, init_for_objective, min_batch,
@@ -187,14 +186,7 @@ def load_plan(source) -> ExperimentPlan:
                                samples_per_class=spc, timesteps=timesteps)
 
     pretext = _merge(preset.get("pretext", {}), dict(raw.get("pretext", {})))
-    enc_raw = pretext.pop("encoder", None)
-    if enc_raw is not None:
-        enc_raw = dict(enc_raw)
-        _check_keys("pretext.encoder", enc_raw, {"blocks", "embedding_dim"})
-        enc_cfg = EncoderConfig(blocks=tuple(tuple(b) for b in enc_raw["blocks"]),
-                                embedding_dim=int(enc_raw["embedding_dim"]))
-    else:
-        enc_cfg = default_encoder_config()
+    enc_cfg = encoder_from_config(pretext.pop("encoder", None) or {})
     objective = objective_from_config(pretext)
 
     meta_in = _merge(preset.get("meta", {}), dict(raw.get("meta", {})))
@@ -244,8 +236,7 @@ def load_plan(source) -> ExperimentPlan:
                               for r in synth_spec.domains]},
                  "min_count": min_count},
         "pretext": {**objective_to_config(objective),
-                    "encoder": {"blocks": [list(b) for b in enc_cfg.blocks],
-                                "embedding_dim": enc_cfg.embedding_dim}},
+                    "encoder": encoder_to_config(enc_cfg)},
         "meta": {"M": meta_hyper.M, "M_dom": meta_hyper.M_dom, "K": meta_hyper.K,
                  "alpha": meta_hyper.alpha, "beta": meta_hyper.beta,
                  "inner_steps": meta_hyper.inner_steps, "epochs": meta_hyper.epochs,
@@ -302,25 +293,21 @@ def plain_pretrain(objective: PretextObjective, init_params: ParamVector,
                    enc_cfg: Optional[EncoderConfig] = None,
                    record_trajectory: bool = False) -> tuple[ParamVector, TrainLog]:
     """Ordinary mini-batch SSL training with Adam, checkpointed on
-    validation loss.
+    validation loss by meta.train_epochs.
 
-    Streams split once as (batch order, training, validation). Each
-    batch consumes one child of the training stream, exactly as one task
-    does in a meta epoch, which is what makes the zero-inner-step
-    equivalence hold batch for batch. Trailing batches smaller than the
-    objective's minimum are skipped. The validation generator is rebuilt
-    from one fixed seed every epoch so checkpoint selection compares
-    epochs on the same batch and augmentation draws.
+    The sampling stream shuffles the batch order. Each batch consumes one
+    child of the training stream, exactly as one task does in a meta
+    epoch, which is what makes the zero-inner-step equivalence hold batch
+    for batch. Trailing batches smaller than the objective's minimum are
+    skipped. Validation scores one batch of the validation pool, drawn
+    from the fixed validation stream.
     """
     enc_cfg = enc_cfg or default_encoder_config()
-    r_order, r_train, r_val = rng.spawn(3)
-    val_seed = int(r_val.integers(np.iinfo(np.int64).max))
-    params = init_params
-    log = TrainLog()
-    best = init_params
-    opt_state = None
     val_pool = np.asarray(val_pool, dtype=np.int64)
-    for epoch in range(1, hyper.epochs + 1):
+    opt_state = None
+
+    def run_epoch(params, r_order, r_train):
+        nonlocal opt_state
         perm = epoch_order(train_pool, r_order)
         batch_losses = []
         for start in range(0, perm.size, hyper.batch_size):
@@ -336,23 +323,18 @@ def plain_pretrain(objective: PretextObjective, init_params: ParamVector,
         if not batch_losses:
             raise PlanError(f"training pool of {np.asarray(train_pool).size} windows "
                             f"yields no usable batch")
-        val = None
-        if val_pool.size >= min_batch(objective):
-            rv = np.random.default_rng(val_seed)
-            vbatch = epoch_order(val_pool, rv)[:hyper.batch_size]
-            val = eval_ssl(objective, params, ds.values[vbatch], rv.spawn(1)[0],
-                           enc_cfg).loss.item()
-        log.epochs.append({"epoch": epoch,
-                           "train_loss": float(np.mean(batch_losses)),
-                           "val_loss": val})
-        if record_trajectory:
-            log.trajectory.append(params)
-        crit = val if val is not None else float(np.mean(batch_losses))
-        if crit < log.best_val_loss:
-            log.best_val_loss = crit
-            log.best_epoch = epoch
-            best = params
-    return best, log
+        train_loss = float(np.mean(batch_losses))
+        return params, {"train_loss": train_loss}, train_loss
+
+    def validate(params, r_val):
+        if val_pool.size < min_batch(objective):
+            return None
+        vbatch = epoch_order(val_pool, r_val)[:hyper.batch_size]
+        return eval_ssl(objective, params, ds.values[vbatch], r_val.spawn(1)[0],
+                        enc_cfg).loss.item()
+
+    return train_epochs(init_params, hyper.epochs, rng, run_epoch, validate,
+                        record_trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +365,6 @@ class SweepResult:
         return cls(cells=d["cells"], per_domain=d["per_domain"], grand=d["grand"],
                    config_hash=d["config_hash"], plan=d["plan"],
                    n_failed=d["n_failed"])
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ADAPT2_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise PlanError(f"ADAPT2_THREADS must be an integer, got {raw!r}") from None
 
 
 def pretrain_for_target(plan: ExperimentPlan, ds: Dataset, target: int,
@@ -464,7 +436,6 @@ def leave_one_domain_out(plan: ExperimentPlan,
         (out_path / "checkpoints").mkdir(parents=True, exist_ok=True)
         (out_path / "logs").mkdir(parents=True, exist_ok=True)
     methods = sorted({_MODE_NEEDS[m] for m in plan.modes})
-    workers = _worker_count()
     cells: list[dict] = []
     for d in range(ds.n_domains):
         pretrained: dict[str, PretrainedModel] = {}
@@ -477,16 +448,9 @@ def leave_one_domain_out(plan: ExperimentPlan,
                 save_pretrained(model, out_path / "checkpoints" / f"{method}_d{d}.adp2")
                 with open(out_path / "logs" / f"pretrain_{method}_d{d}.json", "w") as fh:
                     json.dump(log.to_json_dict(), fh, indent=1)
-        coords = [(k, s, m) for k in plan.shots for s in range(plan.n_seeds)
-                  for m in plan.modes]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futs = [pool.submit(_run_cell, plan, dsn, ds, pretrained, d, k, s, m)
-                        for (k, s, m) in coords]
-                domain_cells = [f.result() for f in futs]
-        else:
-            domain_cells = [_run_cell(plan, dsn, ds, pretrained, d, k, s, m)
-                            for (k, s, m) in coords]
+        domain_cells = [_run_cell(plan, dsn, ds, pretrained, d, k, s, m)
+                        for k in plan.shots for s in range(plan.n_seeds)
+                        for m in plan.modes]
         cells.extend(domain_cells)
         if out_path:
             for cell in domain_cells:
@@ -592,9 +556,7 @@ def domain_shift_study(plan: ExperimentPlan,
                         f"domain {d} study remainder")
                     from .adapt import finetune
                     bundle, _ft = finetune(params, dsn.values[shots], ds.labels[shots],
-                                           plan.finetune_cfg,
-                                           rng_for(plan.master_seed, "study-ft",
-                                                   kind, d, arm, s), plan.enc_cfg)
+                                           plan.finetune_cfg, plan.enc_cfg)
                     rep = evaluate(bundle, dsn.values[test], dsn.labels[test],
                                    ds.n_classes, s, plan.config_hash, plan.enc_cfg)
                     seed_f1.append(rep.macro_f1)

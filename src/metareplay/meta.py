@@ -11,8 +11,9 @@ summed first-order query gradients to the shared parameters.
 rng discipline (documented because the oracle tests re-derive it): every
 function splits its generator with spawn() in a fixed order, so two
 training loops given equal seeds consume identical augmentation streams.
-meta_epoch draws, per task in order, one stream for the query evaluation
-and then, only when inner_steps > 0, one stream for the inner loop. A
+meta_epoch and meta_validation_loss draw, per task in order, one stream
+for the query evaluation and then, only when inner_steps > 0, one stream
+for the inner loop, which spawns one child per SGD step. A
 zero-step inner loop therefore consumes exactly one stream per task,
 the same as one mini-batch of ordinary pre-training.
 """
@@ -28,7 +29,7 @@ from .data import Dataset, DomainId, Window
 from .models import EncoderConfig
 from .optim import AdamState, adam_step, sgd_step
 from .params import ParamVector, grad_of
-from .pretext import PretextObjective, eval_ssl, min_batch
+from .pretext import PretextBatchLoss, PretextObjective, eval_ssl, min_batch
 
 
 class MetaError(ValueError):
@@ -139,29 +140,39 @@ def generate_tasks(ds: Dataset, pool: np.ndarray, hyper: MetaHyper,
     return tasks
 
 
-def _values(batch) -> np.ndarray:
-    if isinstance(batch, np.ndarray):
-        return batch
-    return np.stack([w.values if isinstance(w, Window) else np.asarray(w)
-                     for w in batch])
-
-
-def inner_adapt(objective: PretextObjective, params: ParamVector, support,
+def inner_adapt(objective: PretextObjective, params: ParamVector, support: np.ndarray,
                 alpha: float, inner_steps: int, rng: np.random.Generator,
                 loss_sink: Optional[list] = None,
                 enc_cfg: Optional[EncoderConfig] = None) -> ParamVector:
     """inner_steps full-batch SGD steps on the pretext loss over the
-    support set; returns a fresh vector, the input is never mutated.
-    Appends the per-step losses to loss_sink when given."""
-    values = _values(support)
+    support windows [n, C, T], one spawned stream per step; returns a
+    fresh vector, the input is never mutated. Appends the per-step losses
+    to loss_sink when given. Meta pre-training's inner loop and the
+    target-side pretext replay both run here."""
     theta = params
     for _ in range(inner_steps):
-        out = eval_ssl(objective, theta, values, rng.spawn(1)[0], enc_cfg)
+        out = eval_ssl(objective, theta, support, rng.spawn(1)[0], enc_cfg)
         grads = grad_of(out.loss, theta)
         if loss_sink is not None:
             loss_sink.append(out.loss.item())
         theta = sgd_step(theta, grads, alpha)
     return theta
+
+
+def _adapt_and_query(objective: PretextObjective, params: ParamVector, task: MetaTask,
+                     hyper: MetaHyper, rng: np.random.Generator,
+                     support_sink: Optional[list],
+                     enc_cfg: Optional[EncoderConfig]) -> tuple[ParamVector, PretextBatchLoss]:
+    """Adapt a copy on the task's support set and score the query set
+    with the adapted copy; returns the copy and the query loss. Spawns
+    the query stream first, then the inner stream only when
+    hyper.inner_steps > 0."""
+    r_query = rng.spawn(1)[0]
+    theta = params
+    if hyper.inner_steps > 0:
+        theta = inner_adapt(objective, params, task.support_values(), hyper.alpha,
+                            hyper.inner_steps, rng.spawn(1)[0], support_sink, enc_cfg)
+    return theta, eval_ssl(objective, theta, task.query_values(), r_query, enc_cfg)
 
 
 @dataclass
@@ -195,15 +206,8 @@ def meta_epoch(objective: PretextObjective, params: ParamVector,
     diag = EpochDiag()
     total: Optional[ParamVector] = None
     for task in tasks:
-        r_query = rng.spawn(1)[0]
-        if hyper.inner_steps > 0:
-            r_inner = rng.spawn(1)[0]
-            theta_i = inner_adapt(objective, params, task.support_values(),
-                                  hyper.alpha, hyper.inner_steps, r_inner,
-                                  loss_sink=diag.support_losses, enc_cfg=enc_cfg)
-        else:
-            theta_i = params
-        out = eval_ssl(objective, theta_i, task.query_values(), r_query, enc_cfg)
+        theta_i, out = _adapt_and_query(objective, params, task, hyper, rng,
+                                        diag.support_losses, enc_cfg)
         g = grad_of(out.loss, theta_i)
         diag.query_losses.append(out.loss.item())
         total = g if total is None else total.add(g)
@@ -227,6 +231,38 @@ class TrainLog:
                 "best_val_loss": self.best_val_loss}
 
 
+def train_epochs(init_params: ParamVector, epochs: int, rng: np.random.Generator,
+                 run_epoch: Callable[..., tuple[ParamVector, dict, float]],
+                 validate: Callable[..., Optional[float]],
+                 record_trajectory: bool = False) -> tuple[ParamVector, TrainLog]:
+    """The epoch loop and checkpoint rule of meta and plain pre-training.
+
+    Streams split once as (sampling, training, validation), so validation
+    never perturbs training. run_epoch(params, r_sample, r_train) returns
+    the new parameters, the epoch's loss columns and its training loss.
+    validate(params, r_val) gets a generator rebuilt from one fixed seed
+    every epoch, so epochs are compared on identical draws. Returns the
+    parameters of the epoch with the lowest validation loss (training
+    loss when validate gives None), the earliest on ties.
+    """
+    r_sample, r_train, r_val = rng.spawn(3)
+    val_seed = int(r_val.integers(np.iinfo(np.int64).max))
+    params = best = init_params
+    log = TrainLog()
+    for epoch in range(1, epochs + 1):
+        params, row, train_loss = run_epoch(params, r_sample, r_train)
+        val = validate(params, np.random.default_rng(val_seed))
+        log.epochs.append({"epoch": epoch, **row, "val_loss": val})
+        if record_trajectory:
+            log.trajectory.append(params)
+        crit = val if val is not None else train_loss
+        if crit < log.best_val_loss:
+            log.best_val_loss = crit
+            log.best_epoch = epoch
+            best = params
+    return best, log
+
+
 def _validation_hyper(hyper: MetaHyper, n_val: int, obj_min: int) -> Optional[MetaHyper]:
     k = min(hyper.K, n_val // 2)
     if k < obj_min:
@@ -245,17 +281,8 @@ def meta_validation_loss(objective: PretextObjective, params: ParamVector,
     if vh is None:
         return None
     tasks = generate_tasks(ds, val_pool, vh, rng)
-    losses = []
-    for task in tasks:
-        r_query = rng.spawn(1)[0]
-        if vh.inner_steps > 0:
-            r_inner = rng.spawn(1)[0]
-            theta_i = inner_adapt(objective, params, task.support_values(),
-                                  vh.alpha, vh.inner_steps, r_inner, enc_cfg=enc_cfg)
-        else:
-            theta_i = params
-        losses.append(eval_ssl(objective, theta_i, task.query_values(),
-                               r_query, enc_cfg).loss.item())
+    losses = [_adapt_and_query(objective, params, task, vh, rng, None, enc_cfg)[1].loss.item()
+              for task in tasks]
     return float(np.mean(losses))
 
 
@@ -268,37 +295,25 @@ def meta_pretrain(objective: PretextObjective, init_params: ParamVector,
                   ) -> tuple[ParamVector, TrainLog]:
     """Full meta-pre-training loop.
 
-    Each epoch: fresh tasks from the training pool, one meta_epoch, then
-    the validation meta loss; the best-validation parameters are returned
-    (the final ones when validation is unavailable). Streams are split
-    once up front as (tasks, training, validation), so validation never
-    perturbs the training trajectory. The validation generator is rebuilt
-    from one fixed seed every epoch, so all epochs are scored on
-    identical tasks and augmentation draws and their losses are directly
-    comparable.
+    Each epoch: fresh tasks from the training pool (the sampling stream),
+    one meta_epoch (the training stream), then the validation meta loss.
+    Checkpoint choice and stream split follow train_epochs; without a
+    usable validation pool the mean query loss decides.
     """
     source = task_source or generate_tasks
-    r_task, r_train, r_val = rng.spawn(3)
-    val_seed = int(r_val.integers(np.iinfo(np.int64).max))
-    params = init_params
-    log = TrainLog()
-    best = init_params
-    opt_state = None
-    for epoch in range(1, hyper.epochs + 1):
-        tasks = source(ds, np.asarray(train_pool, dtype=np.int64), hyper, r_task)
+    pool = np.asarray(train_pool, dtype=np.int64)
+    opt_state: Optional[AdamState] = None
+
+    def run_epoch(params, r_task, r_train):
+        nonlocal opt_state
+        tasks = source(ds, pool, hyper, r_task)
         params, diag, opt_state = meta_epoch(objective, params, tasks, hyper, r_train,
                                              opt_state, enc_cfg)
-        val = meta_validation_loss(objective, params, ds, val_pool, hyper,
-                                   np.random.default_rng(val_seed), enc_cfg)
-        log.epochs.append({"epoch": epoch,
-                           "support_loss": diag.mean_support_loss,
-                           "query_loss": diag.mean_query_loss,
-                           "val_loss": val})
-        if record_trajectory:
-            log.trajectory.append(params)
-        crit = val if val is not None else diag.mean_query_loss
-        if crit < log.best_val_loss:
-            log.best_val_loss = crit
-            log.best_epoch = epoch
-            best = params
-    return best, log
+        return params, {"support_loss": diag.mean_support_loss,
+                        "query_loss": diag.mean_query_loss}, diag.mean_query_loss
+
+    def validate(params, r_val):
+        return meta_validation_loss(objective, params, ds, val_pool, hyper, r_val, enc_cfg)
+
+    return train_epochs(init_params, hyper.epochs, rng, run_epoch, validate,
+                        record_trajectory)

@@ -45,6 +45,23 @@ def default_encoder_config() -> EncoderConfig:
     return EncoderConfig()
 
 
+def encoder_to_config(cfg: EncoderConfig) -> dict:
+    """The JSON form of an encoder config, as plan files and model
+    sidecars store it."""
+    return {"blocks": [list(b) for b in cfg.blocks], "embedding_dim": cfg.embedding_dim}
+
+
+def encoder_from_config(raw: dict) -> EncoderConfig:
+    """Inverse of encoder_to_config; an empty dict is the default encoder."""
+    if not raw:
+        return default_encoder_config()
+    if set(raw) != {"blocks", "embedding_dim"}:
+        raise ShapeError(f"encoder config needs exactly the keys blocks and "
+                         f"embedding_dim, got {sorted(raw)}")
+    return EncoderConfig(blocks=tuple(tuple(b) for b in raw["blocks"]),
+                         embedding_dim=int(raw["embedding_dim"]))
+
+
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
                         in_channels: int = 3) -> list[tuple[str, Tensor]]:
     items = []

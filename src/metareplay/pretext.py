@@ -37,6 +37,8 @@ class SimCLRObjective:
         if self.tau <= 0:
             raise PretextError(f"temperature must be > 0, got {self.tau}")
         object.__setattr__(self, "pipeline", tuple(self.pipeline))
+        if not self.pipeline:
+            raise PretextError("pipeline must contain at least one augmentation kind")
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,7 @@ def test_linear_eval_freezes_everything_but_classifier(ds, obj):
     params = params_for(obj)
     shots = np.arange(8)
     bundle, log = finetune(params, ds.values[shots], ds.labels[shots],
-                           FinetuneConfig(), np.random.default_rng(0))
+                           FinetuneConfig())
     for name, t in bundle:
         if name.startswith("clf."):
             continue
@@ -167,7 +167,7 @@ def test_finetune_zero_epochs_gives_uniform_logits(ds, obj):
     params = params_for(obj)
     shots = np.arange(8)
     bundle, log = finetune(params, ds.values[shots], ds.labels[shots],
-                           FinetuneConfig(epochs=0), np.random.default_rng(0))
+                           FinetuneConfig(epochs=0))
     logits = classify(bundle, encode(bundle, ds.values[:4]))
     assert np.array_equal(logits.data, np.zeros_like(logits.data))
     assert log.final_accuracy == 0.0
@@ -177,10 +177,8 @@ def test_finetune_classifier_restarts_from_zero(ds, obj):
     # a pre-existing classifier state must not leak into fine-tuning
     params = params_for(obj)
     dirty = params.map(lambda n, a: a + 1.0 if n.startswith("clf.") else a)
-    a, _ = finetune(params, ds.values[:8], ds.labels[:8], FinetuneConfig(),
-                    np.random.default_rng(0))
-    b, _ = finetune(dirty, ds.values[:8], ds.labels[:8], FinetuneConfig(),
-                    np.random.default_rng(0))
+    a, _ = finetune(params, ds.values[:8], ds.labels[:8], FinetuneConfig())
+    b, _ = finetune(dirty, ds.values[:8], ds.labels[:8], FinetuneConfig())
     assert np.array_equal(a["clf.w"].data, b["clf.w"].data)
 
 
@@ -191,8 +189,7 @@ def test_finetune_separable_shots_reach_full_training_accuracy(obj):
     values = np.concatenate([3.0 * base, 3.0 * base + 0.01], axis=0)
     labels = np.array([0, 1, 2, 3, 0, 1, 2, 3], dtype=np.int64)
     params = params_for(obj)
-    _, log = finetune(params, values, labels, FinetuneConfig(),
-                      np.random.default_rng(0))
+    _, log = finetune(params, values, labels, FinetuneConfig())
     assert log.final_accuracy == 1.0
 
 
@@ -200,15 +197,13 @@ def test_finetune_missing_class_rejected(ds, obj):
     vals = ds.values[:8]
     labels = np.zeros(8, dtype=np.int64)     # only class 0 present
     with pytest.raises(AdaptError, match=r"\[1, 2, 3\]"):
-        finetune(params_for(obj), vals, labels, FinetuneConfig(),
-                 np.random.default_rng(0))
+        finetune(params_for(obj), vals, labels, FinetuneConfig())
 
 
 def test_end_to_end_trains_encoder_but_not_pretext_head(ds, obj):
     params = params_for(obj)
     bundle, _ = finetune(params, ds.values[:8], ds.labels[:8],
-                         FinetuneConfig(protocol="end_to_end", epochs=3),
-                         np.random.default_rng(0))
+                         FinetuneConfig(protocol="end_to_end", epochs=3))
     assert not np.array_equal(bundle["enc.b0.w"].data, params["enc.b0.w"].data)
     assert np.array_equal(bundle["head.proj.w"].data, params["head.proj.w"].data)
 
@@ -267,8 +262,7 @@ def test_baseline_is_finetune_only(ds, obj):
     bundle, log = run_pipeline("baseline", model, ds, split, ReplayConfig(),
                                FinetuneConfig(), np.random.default_rng(4))
     direct, _ = finetune(model.params, ds.values[split.finetune_shots],
-                         ds.labels[split.finetune_shots], FinetuneConfig(),
-                         np.random.default_rng(0))
+                         ds.labels[split.finetune_shots], FinetuneConfig())
     assert bundle.max_abs_diff(direct) == 0.0
     assert log.replay is None
 

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from metareplay.augment import (AugmentError, ChannelShuffle, Jitter, Negate,
-                                Permute, Rotate3D, Scale, TimeFlip, apply,
-                                apply_array, default_multitask_kinds,
+                                Permute, Rotate3D, Scale, TimeFlip, apply_array,
+                                apply_pipeline_array, default_multitask_kinds,
                                 default_simclr_pipeline, kind_from_config,
-                                kind_name, paired_views_batch,
-                                sample_task_batch, two_views)
-from metareplay.data import DomainId, Window
+                                kind_name, paired_views_batch, sample_task_batch)
 
 
 @pytest.fixture
@@ -19,73 +17,64 @@ def rng():
 
 @pytest.fixture
 def win(rng):
-    vals = rng.uniform(-0.8, 0.8, size=(3, 64)).astype(np.float32)
-    return Window(values=vals, label=2, domain=DomainId(1, "d1"))
+    return rng.uniform(-0.8, 0.8, size=(3, 64)).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
 # identities and involutions
 
 def test_jitter_sigma_zero_is_identity(win, rng):
-    out = apply(Jitter(sigma=0.0), win, rng)
-    np.testing.assert_array_equal(out.values, win.values)
+    out = apply_pipeline_array((Jitter(sigma=0.0),), win, rng)
+    np.testing.assert_array_equal(out, win)
 
 
 def test_scale_factor_one_is_identity(win, rng):
-    out = apply(Scale(low=1.0, high=1.0), win, rng)
-    np.testing.assert_allclose(out.values, win.values, atol=1e-7)
+    out = apply_pipeline_array((Scale(low=1.0, high=1.0),), win, rng)
+    np.testing.assert_allclose(out, win, atol=1e-7)
 
 
 def test_permute_one_segment_is_identity(win, rng):
-    out = apply(Permute(n_segments=1), win, rng)
-    np.testing.assert_array_equal(out.values, win.values)
+    out = apply_pipeline_array((Permute(n_segments=1),), win, rng)
+    np.testing.assert_array_equal(out, win)
 
 
 def test_negate_is_involution(win, rng):
-    once = apply_array(Negate(), win.values, rng)
+    once = apply_array(Negate(), win, rng)
     twice = apply_array(Negate(), once, rng)
-    np.testing.assert_array_equal(twice, win.values)
-    np.testing.assert_array_equal(once, -win.values)
+    np.testing.assert_array_equal(twice, win)
+    np.testing.assert_array_equal(once, -win)
 
 
 def test_time_flip_is_involution(win, rng):
-    once = apply_array(TimeFlip(), win.values, rng)
+    once = apply_array(TimeFlip(), win, rng)
     twice = apply_array(TimeFlip(), once, rng)
-    np.testing.assert_array_equal(twice, win.values)
-    np.testing.assert_array_equal(once, win.values[:, ::-1])
-
-
-def test_label_and_domain_preserved(win, rng):
-    out = apply(Jitter(0.1), win, rng)
-    assert out.label == win.label
-    assert out.domain == win.domain
-    assert out.values.shape == win.values.shape
+    np.testing.assert_array_equal(twice, win)
+    np.testing.assert_array_equal(once, win[:, ::-1])
 
 
 def test_output_clamped(rng):
     vals = np.full((3, 32), 0.99, dtype=np.float32)
-    w = Window(values=vals, label=None, domain=None)
-    out = apply(Scale(low=3.0, high=3.0), w, rng)
-    assert out.values.max() <= 1.0
-    assert out.values.min() >= -1.0
+    out = apply_pipeline_array((Scale(low=3.0, high=3.0),), vals, rng)
+    assert out.max() <= 1.0
+    assert out.min() >= -1.0
 
 
 # ---------------------------------------------------------------------------
 # rotation
 
 def test_rotate3d_preserves_per_timestep_norms(win, rng):
-    out = apply_array(Rotate3D(max_angle_deg=30.0), win.values, rng)
+    out = apply_array(Rotate3D(max_angle_deg=30.0), win, rng)
     np.testing.assert_allclose(np.linalg.norm(out, axis=0),
-                               np.linalg.norm(win.values, axis=0), atol=1e-5)
+                               np.linalg.norm(win, axis=0), atol=1e-5)
 
 
 def test_rotate3d_applies_one_matrix_for_all_timesteps(win, rng):
-    out = apply_array(Rotate3D(45.0), win.values, rng)
+    out = apply_array(Rotate3D(45.0), win, rng)
     # recover the matrix from 3 timesteps, check it maps the rest too
-    a = win.values[:, :3].astype(np.float64)
+    a = win[:, :3].astype(np.float64)
     b = out[:, :3].astype(np.float64)
     r = b @ np.linalg.inv(a)
-    np.testing.assert_allclose(r @ win.values, out, atol=1e-4)
+    np.testing.assert_allclose(r @ win, out, atol=1e-4)
 
 
 def test_rotate3d_needs_three_channels(rng):
@@ -94,15 +83,15 @@ def test_rotate3d_needs_three_channels(rng):
 
 
 def test_permute_preserves_channel_multisets(win, rng):
-    out = apply_array(Permute(n_segments=4), win.values, rng)
+    out = apply_array(Permute(n_segments=4), win, rng)
     for c in range(3):
-        np.testing.assert_array_equal(np.sort(out[c]), np.sort(win.values[c]))
+        np.testing.assert_array_equal(np.sort(out[c]), np.sort(win[c]))
 
 
 def test_channel_shuffle_permutes_rows(win, rng):
-    out = apply_array(ChannelShuffle(), win.values, rng)
+    out = apply_array(ChannelShuffle(), win, rng)
     got = {out[i].tobytes() for i in range(3)}
-    want = {win.values[i].tobytes() for i in range(3)}
+    want = {win[i].tobytes() for i in range(3)}
     assert got == want
 
 
@@ -133,32 +122,31 @@ def test_kind_config_round_trip():
 # ---------------------------------------------------------------------------
 # views
 
-def test_two_views_identity_pipeline_equals_source(win, rng):
-    pipeline = (Jitter(0.0), Scale(1.0, 1.0), Permute(1))
-    v1, v2 = two_views(win, pipeline, rng)
-    np.testing.assert_allclose(v1.values, win.values, atol=1e-7)
-    np.testing.assert_allclose(v2.values, win.values, atol=1e-7)
+def test_two_views_identity_pipeline_equals_source(rng):
+    wins = rng.uniform(-0.5, 0.5, size=(3, 3, 32)).astype(np.float32)
+    out = paired_views_batch(wins, (Jitter(0.0), Scale(1.0, 1.0), Permute(1)), rng)
+    np.testing.assert_allclose(out[0::2], wins, atol=1e-7)
+    np.testing.assert_allclose(out[1::2], wins, atol=1e-7)
 
 
 def test_two_views_same_seed_identical(win):
     pipeline = default_simclr_pipeline()
-    a1, a2 = two_views(win, pipeline, np.random.default_rng(5))
-    b1, b2 = two_views(win, pipeline, np.random.default_rng(5))
-    np.testing.assert_array_equal(a1.values, b1.values)
-    np.testing.assert_array_equal(a2.values, b2.values)
+    a = paired_views_batch(win[None], pipeline, np.random.default_rng(5))
+    b = paired_views_batch(win[None], pipeline, np.random.default_rng(5))
+    np.testing.assert_array_equal(a, b)
     # and the two draws differ from each other
-    assert not np.array_equal(a1.values, a2.values)
+    assert not np.array_equal(a[0], a[1])
 
 
 def test_two_views_negate_only(win, rng):
-    v1, v2 = two_views(win, (Negate(),), rng)
-    np.testing.assert_array_equal(v1.values, -win.values)
-    np.testing.assert_array_equal(v2.values, -win.values)
+    v1, v2 = paired_views_batch(win[None], (Negate(),), rng)
+    np.testing.assert_array_equal(v1, -win)
+    np.testing.assert_array_equal(v2, -win)
 
 
 def test_two_views_empty_pipeline_raises(win, rng):
     with pytest.raises(AugmentError):
-        two_views(win, (), rng)
+        paired_views_batch(win[None], (), rng)
 
 
 def test_paired_views_layout(rng):
@@ -177,6 +165,9 @@ def test_paired_views_deterministic(rng):
     b = paired_views_batch(wins, default_simclr_pipeline(),
                            np.random.default_rng(9))
     np.testing.assert_array_equal(a, b)
+    # and the two draws of one window differ from each other
+    for i in range(3):
+        assert not np.array_equal(a[2 * i], a[2 * i + 1])
 
 
 # ---------------------------------------------------------------------------

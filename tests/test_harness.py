@@ -264,19 +264,6 @@ def test_sweep_rerun_is_identical(sweep_runs):
         json.loads((out2 / "results.json").read_text())
 
 
-def test_sweep_parallel_matches_serial(sweep_runs, monkeypatch):
-    _plan, _o1, _o2, r1, _r2 = sweep_runs
-    monkeypatch.setenv("ADAPT2_THREADS", "3")
-    r3 = leave_one_domain_out(load_plan(micro_plan_dict()))
-    assert r3.to_json_dict() == r1.to_json_dict()
-
-
-def test_worker_count_validation(monkeypatch):
-    monkeypatch.setenv("ADAPT2_THREADS", "many")
-    with pytest.raises(PlanError, match="ADAPT2_THREADS"):
-        leave_one_domain_out(load_plan(micro_plan_dict()))
-
-
 def test_failing_cells_are_isolated():
     # 40 shots per class cannot be cut from a 24-window domain: every
     # cell fails, the sweep itself must survive and say so

@@ -1,12 +1,15 @@
 """Encoder, heads, and the recurrent aggregator for the predictive objective."""
 
+import json
+
 import numpy as np
 import pytest
 
 from metareplay import tensor as T
 from metareplay.models import (EncoderConfig, aggregate_and_predict, classify,
                                default_encoder_config, encode, encode_frames,
-                               encoder_param_count, init_bundle, project,
+                               encoder_from_config, encoder_param_count,
+                               encoder_to_config, init_bundle, project,
                                split_frames)
 from metareplay.params import ParamVector
 from metareplay.tensor import ShapeError, Tensor
@@ -174,6 +177,18 @@ def test_aggregate_rejects_horizon_too_long(rng):
 def test_encoder_config_embedding_must_match_last_block():
     with pytest.raises(ShapeError):
         EncoderConfig(blocks=((32, 7, 2), (64, 5, 2)), embedding_dim=96)
+
+
+def test_encoder_config_json_round_trip():
+    cfg = EncoderConfig(blocks=((16, 5, 2), (24, 3, 1)), embedding_dim=24)
+    raw = json.loads(json.dumps(encoder_to_config(cfg)))
+    assert raw == {"blocks": [[16, 5, 2], [24, 3, 1]], "embedding_dim": 24}
+    assert encoder_from_config(raw) == cfg
+    assert encoder_from_config({}) == default_encoder_config()
+    with pytest.raises(ShapeError, match="exactly the keys"):
+        encoder_from_config({**raw, "depth": 2})
+    with pytest.raises(ShapeError, match="exactly the keys"):
+        encoder_from_config({"blocks": raw["blocks"]})
 
 
 def test_bundle_rejects_unknown_kind(rng):

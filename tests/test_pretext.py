@@ -286,6 +286,10 @@ def test_min_batch_per_kind():
 def test_objective_validation():
     with pytest.raises(PretextError):
         SimCLRObjective(tau=0.0)
+    with pytest.raises(PretextError, match="pipeline"):
+        SimCLRObjective(pipeline=())
+    with pytest.raises(PretextError, match="pipeline"):
+        objective_from_config({"kind": "simclr", "pipeline": []})
     with pytest.raises(PretextError):
         CPCObjective(horizon=0)
     with pytest.raises(PretextError):
