@@ -2,8 +2,9 @@
 
 Used in two ways: building paired contrastive views and generating
 transformation-detection batches where the model must report which
-augmentations were applied. All transforms act on [C, T] window arrays,
-preserve their shape, and the batch builders clamp the result to [-1, 1].
+augmentations were applied. Every transform acts on a batch of [C, T]
+window arrays at once, each row drawing from its own stream, preserves
+their shape, and the batch builders clamp the result to [-1, 1].
 """
 
 from __future__ import annotations
@@ -100,43 +101,67 @@ def kind_name(kind: AugmentKind) -> str:
     return type(kind).__name__.lower()
 
 
-def _rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues' formula for a rotation about a unit axis."""
-    x, y, z = axis
-    c, s = np.cos(angle), np.sin(angle)
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+def _rotation_matrices(axes: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rodrigues' formula, one rotation per row: unit axes [m, 3], cosines
+    and sines [m] -> [m, 3, 3]."""
+    x, y, z = axes.T
+    k = np.zeros((len(axes), 3, 3))
+    k[:, 0, 1], k[:, 0, 2] = -z, y
+    k[:, 1, 0], k[:, 1, 2] = z, -x
+    k[:, 2, 0], k[:, 2, 1] = -y, x
+    return np.eye(3) + s[:, None, None] * k + (1.0 - c)[:, None, None] * np.matmul(k, k)
+
+
+def _apply_batch(kind: AugmentKind, x: np.ndarray,
+                 rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Transform each [C, T] array of x [m, C, T], drawing row i's randomness
+    from rngs[i] only; no clamping. Draws are made row by row in the order
+    one row alone would make them, so a row's result does not depend on
+    the rest of the batch. Scalar maths (norms, cos, sin) stays per row for
+    the same reason."""
+    if not len(x):
+        return x
+    if isinstance(kind, Jitter):
+        if kind.sigma == 0:
+            return x
+        noise = np.empty(x.shape, dtype=np.float32)
+        for i, r in enumerate(rngs):
+            noise[i] = r.normal(0.0, kind.sigma, size=x.shape[1:])
+        return x + noise
+    if isinstance(kind, Scale):
+        f = np.array([r.uniform(kind.low, kind.high) for r in rngs]).astype(np.float32)
+        return x * f[:, None, None]
+    if isinstance(kind, Rotate3D):
+        if x.shape[1] != 3:
+            raise AugmentError(f"rotation needs 3 channels, got {x.shape[1]}")
+        axes = np.empty((len(x), 3))
+        c, s = np.empty(len(x)), np.empty(len(x))
+        for i, r in enumerate(rngs):
+            v = r.normal(size=3)
+            axes[i] = v / np.linalg.norm(v)
+            angle = r.uniform(-1.0, 1.0) * np.deg2rad(kind.max_angle_deg)
+            c[i], s[i] = np.cos(angle), np.sin(angle)
+        return np.matmul(_rotation_matrices(axes, c, s), x).astype(np.float32)
+    if isinstance(kind, Negate):
+        return -x
+    if isinstance(kind, TimeFlip):
+        return x[:, :, ::-1]
+    if isinstance(kind, Permute):
+        if kind.n_segments == 1:
+            return x
+        segs = np.array_split(np.arange(x.shape[2]), kind.n_segments)
+        idx = np.stack([np.concatenate([segs[j] for j in r.permutation(len(segs))])
+                        for r in rngs])
+        return np.take_along_axis(x, idx[:, None, :], axis=2)
+    if isinstance(kind, ChannelShuffle):
+        perm = np.stack([r.permutation(x.shape[1]) for r in rngs])
+        return np.take_along_axis(x, perm[:, :, None], axis=1)
+    raise AugmentError(f"unknown augmentation kind {kind!r}")
 
 
 def apply_array(kind: AugmentKind, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Transform one [C, T] array; no clamping (callers clamp once at the end)."""
-    if isinstance(kind, Jitter):
-        if kind.sigma == 0:
-            return x
-        return x + rng.normal(0.0, kind.sigma, size=x.shape).astype(np.float32)
-    if isinstance(kind, Scale):
-        f = rng.uniform(kind.low, kind.high)
-        return x * np.float32(f)
-    if isinstance(kind, Rotate3D):
-        if x.shape[0] != 3:
-            raise AugmentError(f"rotation needs 3 channels, got {x.shape[0]}")
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        angle = rng.uniform(-1.0, 1.0) * np.deg2rad(kind.max_angle_deg)
-        return (_rotation_matrix(v, angle) @ x).astype(np.float32)
-    if isinstance(kind, Negate):
-        return -x
-    if isinstance(kind, TimeFlip):
-        return x[:, ::-1]
-    if isinstance(kind, Permute):
-        if kind.n_segments == 1:
-            return x
-        segs = np.array_split(np.arange(x.shape[1]), kind.n_segments)
-        order = rng.permutation(len(segs))
-        return np.concatenate([x[:, segs[i]] for i in order], axis=1)
-    if isinstance(kind, ChannelShuffle):
-        return x[rng.permutation(x.shape[0])]
-    raise AugmentError(f"unknown augmentation kind {kind!r}")
+    return _apply_batch(kind, x[None], (rng,))[0]
 
 
 def apply_pipeline_array(pipeline: Sequence[AugmentKind], x: np.ndarray,
@@ -150,17 +175,22 @@ def apply_pipeline_array(pipeline: Sequence[AugmentKind], x: np.ndarray,
 
 def paired_views_batch(windows: np.ndarray, pipeline: Sequence[AugmentKind],
                        rng: np.random.Generator) -> np.ndarray:
-    """[n, C, T] -> [2n, C, T] with views of window i at rows 2i and 2i+1."""
+    """[n, C, T] -> [2n, C, T] with views of window i at rows 2i and 2i+1.
+
+    View 2i+j draws from ``rng.spawn(n)[i].spawn(2)[j]``; the streams are
+    spawned from the seed sequences directly, which skips the n
+    intermediate Generators.
+    """
     if not pipeline:
         raise AugmentError("empty augmentation pipeline")
-    n = windows.shape[0]
-    out = np.empty((2 * n,) + windows.shape[1:], dtype=np.float32)
-    streams = rng.spawn(n)
-    for i in range(n):
-        ra, rb = streams[i].spawn(2)
-        out[2 * i] = apply_pipeline_array(pipeline, windows[i], ra)
-        out[2 * i + 1] = apply_pipeline_array(pipeline, windows[i], rb)
-    return out
+    bitgen = type(rng.bit_generator)
+    rngs = [np.random.Generator(bitgen(seq))
+            for child in rng.bit_generator.seed_seq.spawn(windows.shape[0])
+            for seq in child.spawn(2)]
+    x = np.repeat(windows, 2, axis=0)
+    for kind in pipeline:
+        x = _apply_batch(kind, x, rngs)
+    return np.clip(x, -1.0, 1.0).astype(np.float32)
 
 
 def sample_task_batch(windows: np.ndarray, kinds: Sequence[AugmentKind],
@@ -168,26 +198,24 @@ def sample_task_batch(windows: np.ndarray, kinds: Sequence[AugmentKind],
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Detection batch: each window independently receives each kind with
     probability p, in the listed order. Returns the transformed windows and
-    the [n, m] float32 label matrix (1 = kind applied)."""
+    the [n, m] float32 label matrix (1 = kind applied).
+
+    Window i draws from ``rng.spawn(n)[i]``: first its whole coin vector, so
+    that label patterns do not depend on how many random numbers each
+    transform consumes, then the draws of the kinds it receives, in order.
+    """
     if not kinds:
         raise AugmentError("need at least one augmentation kind")
     n = windows.shape[0]
-    m = len(kinds)
-    out = np.empty_like(windows)
-    labels = np.zeros((n, m), dtype=np.float32)
     streams = rng.spawn(n)
-    for i in range(n):
-        r = streams[i]
-        x = windows[i]
-        # draw the full coin vector first so label patterns do not depend on
-        # how many random numbers each transform consumes
-        coins = r.random(m) < p
-        for j, kind in enumerate(kinds):
-            if coins[j]:
-                x = apply_array(kind, x, r)
-                labels[i, j] = 1.0
-        out[i] = np.clip(x, -1.0, 1.0)
-    return out, labels
+    coins = np.array([r.random(len(kinds)) < p for r in streams]).reshape(n, len(kinds))
+    out = windows.copy()
+    for j, kind in enumerate(kinds):
+        rows = np.flatnonzero(coins[:, j])
+        if rows.size:
+            out[rows] = _apply_batch(kind, out[rows], [streams[i] for i in rows])
+    np.clip(out, -1.0, 1.0, out=out)
+    return out, coins.astype(np.float32)
 
 
 def default_simclr_pipeline() -> tuple[AugmentKind, ...]:

@@ -558,10 +558,16 @@ def read_dataset(path) -> Dataset:
 
 
 def write_csv_dataset(ds: Dataset, path) -> None:
+    """CSV dataset, UTF-8: the metadata rows ``#n_classes,<k>`` and
+    ``#domain_tags,<tag 0>,<tag 1>,...``, then the header
+    ``domain,label,c0t0,...,c0t{T-1},c1t0,...`` and one window per row.
+    Values are written with repr, so they read back bit for bit."""
     header = ["domain", "label"] + [f"c{c}t{t}" for c in range(ds.channels)
                                     for t in range(ds.timesteps)]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
+        w.writerow(["#n_classes", ds.n_classes])
+        w.writerow(["#domain_tags", *ds.domain_tags])
         w.writerow(header)
         flat = ds.values.reshape(ds.n_windows, -1)
         for i in range(ds.n_windows):
@@ -570,9 +576,20 @@ def write_csv_dataset(ds: Dataset, path) -> None:
 
 
 def read_csv_dataset(path) -> Dataset:
-    """Tiny-fixture import: columns domain,label,c0t0,... one window per row."""
-    with open(path, newline="") as fh:
+    """Read a CSV dataset (layout in write_csv_dataset).
+
+    A file without the metadata rows, as hand-made fixtures and older
+    writers produce, gets the tags ``domain{d}`` up to its largest domain
+    id and ``n_classes`` one more than its largest label.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
+    meta: dict[str, list[str]] = {}
+    while rows and rows[0] and rows[0][0].startswith("#"):
+        key, *vals = rows.pop(0)
+        if key not in ("#n_classes", "#domain_tags") or key in meta:
+            raise DataError(f"unknown or repeated CSV metadata row {key!r}")
+        meta[key] = vals
     if not rows or rows[0][:2] != ["domain", "label"]:
         raise DataError("CSV must start with header domain,label,c0t0,...")
     header = rows[0]
@@ -597,8 +614,19 @@ def read_csv_dataset(path) -> Dataset:
         raise DataError("CSV contains no data rows")
     domains = np.array(doms, dtype=np.uint16)
     labels = np.array(labs, dtype=np.int16)
-    n_dom = int(domains.max()) + 1
-    n_cls = int(labels.max()) + 1 if labels.max() >= 0 else 0
+    if "#n_classes" in meta:
+        try:
+            (n_cls,) = (int(v) for v in meta["#n_classes"])
+        except ValueError:
+            n_cls = -1
+        if n_cls < 0:
+            raise DataError(f"CSV #n_classes must be one non-negative integer, "
+                            f"got {meta['#n_classes']}")
+    else:
+        n_cls = int(labels.max()) + 1 if labels.max() >= 0 else 0
+    if "#domain_tags" in meta:
+        tags = tuple(meta["#domain_tags"])
+    else:
+        tags = tuple(f"domain{d}" for d in range(int(domains.max()) + 1))
     return Dataset(values=np.stack(vals), labels=labels, domains=domains,
-                   domain_tags=tuple(f"domain{d}" for d in range(n_dom)),
-                   n_classes=n_cls)
+                   domain_tags=tags, n_classes=n_cls)

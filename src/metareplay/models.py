@@ -23,9 +23,10 @@ CLF_PREFIX = "clf."
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Conv blocks as (out_channels, kernel, stride); each block is
-    conv -> layer-norm (with per-channel gain/bias) -> relu, padding
-    kernel//2. Global mean pooling yields the embedding."""
+    """Conv blocks as (out_channels, kernel, stride); each block is two
+    graph nodes: a bias-free conv with padding kernel//2, then a layer-norm
+    whose epilogue applies the per-channel gain and bias and the relu.
+    Global mean pooling yields the embedding."""
     blocks: tuple[tuple[int, int, int], ...] = ((32, 7, 2), (64, 5, 2), (96, 3, 2))
     embedding_dim: int = 96
 
@@ -135,9 +136,8 @@ def encode(params: ParamVector, x, cfg: EncoderConfig | None = None) -> Tensor:
         raise ShapeError(f"encode expects [n, channels, T], got shape {h.shape}")
     for i, (_c_out, k, s) in enumerate(cfg.blocks):
         h = T.conv1d(h, params[f"enc.b{i}.w"], stride=s, padding=k // 2)
-        h = T.layer_norm(h)
-        h = T.add(T.mul(h, params[f"enc.b{i}.g"]), params[f"enc.b{i}.b"])
-        h = T.relu(h)
+        h = T.layer_norm(h, gain=params[f"enc.b{i}.g"], bias=params[f"enc.b{i}.b"],
+                         relu=True)
     return T.global_mean_pool(h)
 
 

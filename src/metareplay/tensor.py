@@ -394,16 +394,26 @@ def log_softmax(x: ArrayLike, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization
 
-def layer_norm(x: ArrayLike, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: ArrayLike, eps: float = 1e-5, *, gain: Optional[ArrayLike] = None,
+               bias: Optional[ArrayLike] = None, relu: bool = False) -> Tensor:
     """Normalize each sample (axis 0 is the batch) to zero mean, unit variance.
 
     Statistics are computed over all non-batch axes per sample; there are
-    no running statistics and no affine parameters (compose gain/bias
-    outside with mul/add).
+    no running statistics. With ``gain`` and ``bias`` (given together,
+    each broadcasting over one sample, e.g. per-channel [C, 1] for
+    [N, C, T]) the op returns ``y * gain + bias``, and with ``relu`` also
+    ``max(., 0)``, as one graph node. Its values and gradients equal those
+    of the chain layer_norm -> mul -> add -> relu bit for bit, but it
+    keeps only the normalized ``y``, the per-sample ``1/sigma`` and its own
+    output (the relu gate is ``out > 0``) for the backward pass.
     """
     x = as_tensor(x)
     if x.ndim < 2:
         raise ShapeError(f"layer_norm expects batched input, got shape {x.shape}")
+    if (gain is None) != (bias is None):
+        raise ShapeError("layer_norm takes gain and bias together")
+    if relu and gain is None:
+        raise ShapeError("layer_norm's relu epilogue needs gain and bias")
     axes = tuple(range(1, x.ndim))
     mu = x.data.mean(axis=axes, keepdims=True)
     xc = x.data - mu
@@ -411,12 +421,39 @@ def layer_norm(x: ArrayLike, eps: float = 1e-5) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
 
-    def vjp(g):
+    def norm_vjp(g):
         gm = g.mean(axis=axes, keepdims=True)
         gy = (g * y).mean(axis=axes, keepdims=True)
-        return ((g - gm - y * gy) * inv,)
+        return (g - gm - y * gy) * inv
 
-    return _result("layer_norm", y, (x,), vjp)
+    if gain is None:
+        return _result("layer_norm", y, (x,), lambda g: (norm_vjp(g),))
+
+    gain, bias = as_tensor(gain), as_tensor(bias)
+    for name, p in (("gain", gain), ("bias", bias)):
+        try:
+            fits = np.broadcast_shapes(x.shape, p.shape) == x.shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeError(f"layer_norm {name} shape {p.shape} does not broadcast "
+                             f"over input {x.shape}")
+    # the chain's expressions in its operand order; the in-place steps
+    # only touch this op's own fresh array
+    out = y * gain.data
+    out += bias.data
+    if relu:
+        np.maximum(out, np.float32(0.0), out=out)
+
+    def vjp(g):
+        if relu:
+            # named for the reason given in relu()
+            gate = (out > 0).astype(np.float32)
+            g = g * gate
+        return (norm_vjp(g * gain.data), _unbroadcast(g * y, gain.shape),
+                _unbroadcast(g, bias.shape))
+
+    return _result("layer_norm", out, (x, gain, bias), vjp)
 
 
 # ---------------------------------------------------------------------------

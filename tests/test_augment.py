@@ -210,3 +210,29 @@ def test_task_batch_labels_reflect_application(rng):
     for i in range(50):
         expect = -wins[i] if labels[i, 0] else wins[i]
         np.testing.assert_array_equal(out[i], expect)
+
+
+def test_batch_views_follow_the_per_window_streams():
+    # view j of window i draws from rng.spawn(n)[i].spawn(2)[j], and working
+    # on the whole batch at once gives each view exactly what it gets alone
+    wins = np.random.default_rng(1).uniform(-0.9, 0.9, size=(5, 3, 32)).astype(np.float32)
+    pipeline = (Jitter(0.1), Scale(0.8, 1.2), TimeFlip(), Rotate3D(40.0), Permute(4),
+                ChannelShuffle(), Negate())
+    out = paired_views_batch(wins, pipeline, np.random.default_rng(3))
+    for i, stream in enumerate(np.random.default_rng(3).spawn(5)):
+        for j, r in enumerate(stream.spawn(2)):
+            np.testing.assert_array_equal(out[2 * i + j],
+                                          apply_pipeline_array(pipeline, wins[i], r))
+
+
+def test_task_batch_follows_the_per_window_streams():
+    wins = np.random.default_rng(2).uniform(-0.9, 0.9, size=(9, 3, 32)).astype(np.float32)
+    kinds = default_multitask_kinds() + (ChannelShuffle(),)
+    out, labels = sample_task_batch(wins, kinds, np.random.default_rng(4))
+    for i, r in enumerate(np.random.default_rng(4).spawn(9)):
+        coins = r.random(len(kinds)) < 0.5
+        x = wins[i]
+        for kind in [k for k, c in zip(kinds, coins) if c]:
+            x = apply_array(kind, x, r)
+        np.testing.assert_array_equal(labels[i], coins)
+        np.testing.assert_array_equal(out[i], np.clip(x, -1.0, 1.0))

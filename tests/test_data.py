@@ -444,3 +444,41 @@ def test_csv_column_order_validated(tmp_path):
     p.write_text("domain,label,c0t1,c0t0\n0,1,0.5,0.5\n")
     with pytest.raises(DataError):
         read_csv_dataset(p)
+
+
+def test_csv_round_trip_keeps_tags_and_class_count(tmp_path):
+    # class 3 absent, domain 2 empty, tags with a comma, a quote and non-ASCII
+    full = small_synth(spc=2)
+    assert full.n_classes == 4 and full.n_domains == 3
+    keep = (full.labels != 3) & (full.domains != 2)
+    ds = Dataset(values=full.values[keep], labels=full.labels[keep],
+                 domains=full.domains[keep],
+                 domain_tags=("synth0", 'phone, "left"', "Straße"), n_classes=4)
+    p = tmp_path / "ds.csv"
+    write_csv_dataset(ds, p)
+    back = read_csv_dataset(p)
+    assert back.domain_tags == ds.domain_tags
+    assert back.n_classes == 4
+    np.testing.assert_array_equal(back.values, ds.values)
+    np.testing.assert_array_equal(back.labels, ds.labels)
+    np.testing.assert_array_equal(back.domains, ds.domains)
+
+
+def test_csv_without_metadata_rows_still_loads(tmp_path):
+    p = tmp_path / "old.csv"
+    p.write_text("domain,label,c0t0,c0t1\n1,2,0.5,-0.25\n0,0,1.0,0.0\n")
+    ds = read_csv_dataset(p)
+    assert ds.domain_tags == ("domain0", "domain1")
+    assert ds.n_classes == 3
+    np.testing.assert_array_equal(ds.values[0], [[0.5, -0.25]])
+
+
+@pytest.mark.parametrize("meta", ["#n_classes,x\n", "#n_classes,-1\n", "#n_classes,2,3\n",
+                                  "#n_classes,1\n", "#domain_tags,only0\n",
+                                  "#colour,red\n", "#n_classes,4\n#n_classes,4\n"])
+def test_csv_bad_metadata_rows_raise(tmp_path, meta):
+    # n_classes 1 is below label 2, one tag cannot cover domain 1
+    p = tmp_path / "bad.csv"
+    p.write_text(meta + "domain,label,c0t0\n1,2,0.5\n")
+    with pytest.raises(DataError):
+        read_csv_dataset(p)

@@ -7,7 +7,7 @@ from metareplay import tensor as T
 from metareplay.tensor import (GraphError, NumericError, ShapeError, Tensor,
                                backward)
 
-from gradcheck import check_grad, leaf, primitive_cases, random_net_cases
+from gradcheck import check_grad, leaf, primitive_cases, random_net_cases, scalarize
 
 
 @pytest.fixture
@@ -132,6 +132,105 @@ def test_relu_values_and_gradient_mask():
         out.data, np.array([[0.0, 0.0, 0.0, 1e-30, 3.0]], dtype=np.float32))
     backward(T.sum_(T.mul(out, np.arange(1, 6, dtype=np.float32))))
     np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 0.0, 4.0, 5.0]])
+
+
+def _block_epilogue(fused, relu, head):
+    """Loss, values and x / gain / bias gradients of layer-norm, gain, bias
+    (and relu) over a conv1d-shaped input, read by the next block's conv or
+    by the encoder's mean pool: both reduce over the block's output in
+    memory order, and each sends back a gradient of its own layout."""
+    rng = np.random.default_rng(3)
+    # big enough that numpy may reuse temporaries (256 KiB and up), and laid
+    # out [N, T, F] as conv1d's output is
+    base = rng.standard_normal((16, 128, 64)).astype(np.float32)
+    x = Tensor(base.transpose(0, 2, 1), requires_grad=True)
+    gain = Tensor(rng.uniform(0.5, 1.5, (64, 1)).astype(np.float32), requires_grad=True)
+    bias = Tensor(rng.uniform(-0.5, 0.5, (64, 1)).astype(np.float32), requires_grad=True)
+    if fused:
+        h = T.layer_norm(x, gain=gain, bias=bias, relu=relu)
+    else:
+        h = T.add(T.mul(T.layer_norm(x), gain), bias)
+        if relu:
+            h = T.relu(h)
+    if head == "conv":
+        w = rng.standard_normal((8, 64, 3)).astype(np.float32)
+        out = T.conv1d(h, w, stride=2, padding=1)
+    else:
+        out = T.global_mean_pool(h)
+    loss = T.sum_(T.mul(out, np.cos(np.arange(out.size, dtype=np.float32)).reshape(out.shape)))
+    backward(loss)
+    return loss.data, h.data, x.grad, gain.grad, bias.grad
+
+
+@pytest.mark.parametrize("head", ["conv", "pool"])
+@pytest.mark.parametrize("relu", [True, False])
+def test_layer_norm_epilogue_matches_chain_bit_for_bit(relu, head):
+    fused = _block_epilogue(True, relu, head)
+    chain = _block_epilogue(False, relu, head)
+    for got, want in zip(fused, chain):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_layer_norm_epilogue_gradcheck(rng):
+    x = leaf(rng, 2, 3, 5)
+    # relu: bias +-2 and gain <= 0.45 keep every pre-activation at least
+    # 0.3 from the kink (|y| <= sqrt(14) over 15 entries), so channel 1 is
+    # all blocked and channels 0 and 2 all pass
+    gain = leaf(rng, 3, 1, lo=0.2, hi=0.45)
+    bias = Tensor(np.array([[2.0], [-2.0], [2.0]], dtype=np.float32), requires_grad=True)
+
+    def f(x, g, b):
+        return scalarize(T.layer_norm(x, gain=g, bias=b, relu=True))
+    check_grad(f, [x, gain, bias], tol=1e-3)
+    assert not gain.grad[1].any() and gain.grad[0].all()
+
+    def f_affine(x, g, b):
+        return scalarize(T.layer_norm(x, gain=g, bias=b))
+    check_grad(f_affine, [leaf(rng, 2, 3, 5), leaf(rng, 3, 1), leaf(rng, 3, 1)], tol=1e-3)
+
+
+def test_layer_norm_epilogue_raises_where_the_chain_does():
+    x = np.array([[0.0, 0.0, 0.0, 10.0]], dtype=np.float32)   # y up to 1.73
+    gain = np.array([3e38], dtype=np.float32)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError):
+            T.mul(T.layer_norm(x), gain)
+        with pytest.raises(NumericError):
+            T.layer_norm(x, gain=gain, bias=np.zeros(1, np.float32), relu=True)
+
+
+def test_layer_norm_epilogue_argument_checks():
+    x = np.zeros((2, 3, 4), dtype=np.float32)
+    g = np.ones((3, 1), dtype=np.float32)
+    with pytest.raises(ShapeError):
+        T.layer_norm(x, gain=g)
+    with pytest.raises(ShapeError):
+        T.layer_norm(x, relu=True)
+    with pytest.raises(ShapeError):
+        T.layer_norm(x, gain=np.ones((2, 3, 3, 1), np.float32), bias=g)
+    with pytest.raises(ShapeError):
+        T.layer_norm(x, gain=g, bias=np.ones((2, 2, 3, 1), np.float32))
+
+
+def test_encoder_block_is_two_graph_nodes():
+    from collections import Counter
+
+    from metareplay.models import EncoderConfig, encode, init_encoder_params
+    from metareplay.params import ParamVector
+    for blocks in (((8, 3, 1),), ((8, 5, 2), (16, 3, 2), (4, 3, 1))):
+        cfg = EncoderConfig(blocks=blocks, embedding_dim=blocks[-1][0])
+        params = ParamVector(init_encoder_params(cfg, np.random.default_rng(0)))
+        loss = T.sum_(encode(params, np.ones((2, 3, 32), np.float32), cfg))
+        ops, seen, stack = Counter(), set(), [loss]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen and t._vjp is not None:
+                seen.add(id(t))
+                ops[t._op] += 1
+                stack.extend(t._parents)
+        assert ops == {"conv1d": len(blocks), "layer_norm": len(blocks),
+                       "global_mean_pool": 1, "sum": 1}
 
 
 def max_pool_loop_oracle(x, kernel, stride):
