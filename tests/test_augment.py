@@ -212,20 +212,54 @@ def test_task_batch_labels_reflect_application(rng):
         np.testing.assert_array_equal(out[i], expect)
 
 
-def test_batch_views_follow_the_per_window_streams():
-    # view j of window i draws from rng.spawn(n)[i].spawn(2)[j], and working
-    # on the whole batch at once gives each view exactly what it gets alone
-    wins = np.random.default_rng(1).uniform(-0.9, 0.9, size=(5, 3, 32)).astype(np.float32)
-    pipeline = (Jitter(0.1), Scale(0.8, 1.2), TimeFlip(), Rotate3D(40.0), Permute(4),
-                ChannelShuffle(), Negate())
+def _reference_apply(kind, x, rng):
+    """One window at a time, as the batch paths must reproduce bit for bit."""
+    if isinstance(kind, Jitter):
+        return x if kind.sigma == 0 else \
+            x + rng.normal(0.0, kind.sigma, size=x.shape).astype(np.float32)
+    if isinstance(kind, Scale):
+        return x * np.float32(rng.uniform(kind.low, kind.high))
+    if isinstance(kind, Rotate3D):
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        angle = rng.uniform(-1.0, 1.0) * np.deg2rad(kind.max_angle_deg)
+        k = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+        rot = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+        return (rot @ x).astype(np.float32)
+    if isinstance(kind, Negate):
+        return -x
+    if isinstance(kind, TimeFlip):
+        return x[:, ::-1]
+    if isinstance(kind, Permute):
+        if kind.n_segments == 1:
+            return x
+        segs = np.array_split(np.arange(x.shape[1]), kind.n_segments)
+        return np.concatenate([x[:, segs[i]] for i in rng.permutation(len(segs))], axis=1)
+    return x[rng.permutation(x.shape[0])]
+
+
+PIPELINE_ALL_KINDS = (Jitter(0.1), Scale(0.8, 1.2), TimeFlip(), Rotate3D(40.0), Permute(4),
+                      ChannelShuffle(), Negate())
+
+
+@pytest.mark.parametrize("pipeline", [default_simclr_pipeline(), PIPELINE_ALL_KINDS],
+                         ids=["default", "all-kinds"])
+def test_batch_views_match_per_window_reference(pipeline):
+    # view j of window i draws from rng.spawn(n)[i].spawn(2)[j]
+    wins = np.random.default_rng(1).uniform(-0.9, 0.9, size=(5, 3, 256)).astype(np.float32)
     out = paired_views_batch(wins, pipeline, np.random.default_rng(3))
     for i, stream in enumerate(np.random.default_rng(3).spawn(5)):
         for j, r in enumerate(stream.spawn(2)):
-            np.testing.assert_array_equal(out[2 * i + j],
-                                          apply_pipeline_array(pipeline, wins[i], r))
+            x = wins[i]
+            for kind in pipeline:
+                x = _reference_apply(kind, x, r)
+            np.testing.assert_array_equal(out[2 * i + j], np.clip(x, -1.0, 1.0))
+    # the one-window entry point is the same code
+    r = np.random.default_rng(3).spawn(5)[0].spawn(2)[0]
+    np.testing.assert_array_equal(out[0], apply_pipeline_array(pipeline, wins[0], r))
 
 
-def test_task_batch_follows_the_per_window_streams():
+def test_task_batch_matches_per_window_reference():
     wins = np.random.default_rng(2).uniform(-0.9, 0.9, size=(9, 3, 32)).astype(np.float32)
     kinds = default_multitask_kinds() + (ChannelShuffle(),)
     out, labels = sample_task_batch(wins, kinds, np.random.default_rng(4))
@@ -233,6 +267,6 @@ def test_task_batch_follows_the_per_window_streams():
         coins = r.random(len(kinds)) < 0.5
         x = wins[i]
         for kind in [k for k, c in zip(kinds, coins) if c]:
-            x = apply_array(kind, x, r)
+            x = _reference_apply(kind, x, r)
         np.testing.assert_array_equal(labels[i], coins)
         np.testing.assert_array_equal(out[i], np.clip(x, -1.0, 1.0))
