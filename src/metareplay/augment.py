@@ -159,20 +159,6 @@ def _apply_batch(kind: AugmentKind, x: np.ndarray,
     raise AugmentError(f"unknown augmentation kind {kind!r}")
 
 
-def apply_array(kind: AugmentKind, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Transform one [C, T] array; no clamping (callers clamp once at the end)."""
-    return _apply_batch(kind, x[None], (rng,))[0]
-
-
-def apply_pipeline_array(pipeline: Sequence[AugmentKind], x: np.ndarray,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Apply the kinds of a pipeline in order to one [C, T] array, then
-    clamp once to [-1, 1]."""
-    for kind in pipeline:
-        x = apply_array(kind, x, rng)
-    return np.clip(x, -1.0, 1.0).astype(np.float32)
-
-
 def paired_views_batch(windows: np.ndarray, pipeline: Sequence[AugmentKind],
                        rng: np.random.Generator) -> np.ndarray:
     """[n, C, T] -> [2n, C, T] with views of window i at rows 2i and 2i+1.

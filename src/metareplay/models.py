@@ -136,8 +136,7 @@ def encode(params: ParamVector, x, cfg: EncoderConfig | None = None) -> Tensor:
         raise ShapeError(f"encode expects [n, channels, T], got shape {h.shape}")
     for i, (_c_out, k, s) in enumerate(cfg.blocks):
         h = T.conv1d(h, params[f"enc.b{i}.w"], stride=s, padding=k // 2)
-        h = T.layer_norm(h, gain=params[f"enc.b{i}.g"], bias=params[f"enc.b{i}.b"],
-                         relu=True)
+        h = T.layer_norm(h, epilogue=(params[f"enc.b{i}.g"], params[f"enc.b{i}.b"]))
     return T.global_mean_pool(h)
 
 

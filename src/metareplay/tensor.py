@@ -394,26 +394,22 @@ def log_softmax(x: ArrayLike, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization
 
-def layer_norm(x: ArrayLike, eps: float = 1e-5, *, gain: Optional[ArrayLike] = None,
-               bias: Optional[ArrayLike] = None, relu: bool = False) -> Tensor:
+def layer_norm(x: ArrayLike, eps: float = 1e-5, *,
+               epilogue: Optional[tuple[ArrayLike, ArrayLike]] = None) -> Tensor:
     """Normalize each sample (axis 0 is the batch) to zero mean, unit variance.
 
     Statistics are computed over all non-batch axes per sample; there are
-    no running statistics. With ``gain`` and ``bias`` (given together,
-    each broadcasting over one sample, e.g. per-channel [C, 1] for
-    [N, C, T]) the op returns ``y * gain + bias``, and with ``relu`` also
-    ``max(., 0)``, as one graph node. Its values and gradients equal those
-    of the chain layer_norm -> mul -> add -> relu bit for bit, but it
-    keeps only the normalized ``y``, the per-sample ``1/sigma`` and its own
-    output (the relu gate is ``out > 0``) for the backward pass.
+    no running statistics. With ``epilogue=(gain, bias)``, each
+    broadcasting over one sample (per-channel [C, 1] for [N, C, T]), the op
+    is an encoder block's tail: it returns ``max(y * gain + bias, 0)`` as
+    one graph node. Its values and gradients equal those of the chain
+    layer_norm -> mul -> add -> relu bit for bit, but it keeps only the
+    normalized ``y``, the per-sample ``1/sigma`` and its own output (the
+    relu gate is ``out > 0``) for the backward pass.
     """
     x = as_tensor(x)
     if x.ndim < 2:
         raise ShapeError(f"layer_norm expects batched input, got shape {x.shape}")
-    if (gain is None) != (bias is None):
-        raise ShapeError("layer_norm takes gain and bias together")
-    if relu and gain is None:
-        raise ShapeError("layer_norm's relu epilogue needs gain and bias")
     axes = tuple(range(1, x.ndim))
     mu = x.data.mean(axis=axes, keepdims=True)
     xc = x.data - mu
@@ -426,10 +422,10 @@ def layer_norm(x: ArrayLike, eps: float = 1e-5, *, gain: Optional[ArrayLike] = N
         gy = (g * y).mean(axis=axes, keepdims=True)
         return (g - gm - y * gy) * inv
 
-    if gain is None:
+    if epilogue is None:
         return _result("layer_norm", y, (x,), lambda g: (norm_vjp(g),))
 
-    gain, bias = as_tensor(gain), as_tensor(bias)
+    gain, bias = (as_tensor(p) for p in epilogue)
     for name, p in (("gain", gain), ("bias", bias)):
         try:
             fits = np.broadcast_shapes(x.shape, p.shape) == x.shape
@@ -442,14 +438,12 @@ def layer_norm(x: ArrayLike, eps: float = 1e-5, *, gain: Optional[ArrayLike] = N
     # only touch this op's own fresh array
     out = y * gain.data
     out += bias.data
-    if relu:
-        np.maximum(out, np.float32(0.0), out=out)
+    np.maximum(out, np.float32(0.0), out=out)
 
     def vjp(g):
-        if relu:
-            # named for the reason given in relu()
-            gate = (out > 0).astype(np.float32)
-            g = g * gate
+        # named for the reason given in relu()
+        gate = (out > 0).astype(np.float32)
+        g = g * gate
         return (norm_vjp(g * gain.data), _unbroadcast(g * y, gain.shape),
                 _unbroadcast(g, bias.shape))
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from metareplay.augment import (AugmentError, ChannelShuffle, Jitter, Negate,
-                                Permute, Rotate3D, Scale, TimeFlip, apply_array,
-                                apply_pipeline_array, default_multitask_kinds,
-                                default_simclr_pipeline, kind_from_config,
-                                kind_name, paired_views_batch, sample_task_batch)
+                                Permute, Rotate3D, Scale, TimeFlip,
+                                default_multitask_kinds, default_simclr_pipeline,
+                                kind_from_config, kind_name, paired_views_batch,
+                                sample_task_batch)
 
 
 @pytest.fixture
@@ -20,79 +20,90 @@ def win(rng):
     return rng.uniform(-0.8, 0.8, size=(3, 64)).astype(np.float32)
 
 
+def _views(pipeline, win, rng):
+    """Both views of one window: the pipeline applied twice, each time
+    from its own stream, then clamped."""
+    return paired_views_batch(win[None], pipeline, rng)
+
+
 # ---------------------------------------------------------------------------
 # identities and involutions
 
 def test_jitter_sigma_zero_is_identity(win, rng):
-    out = apply_pipeline_array((Jitter(sigma=0.0),), win, rng)
-    np.testing.assert_array_equal(out, win)
+    for out in _views((Jitter(sigma=0.0),), win, rng):
+        np.testing.assert_array_equal(out, win)
 
 
 def test_scale_factor_one_is_identity(win, rng):
-    out = apply_pipeline_array((Scale(low=1.0, high=1.0),), win, rng)
-    np.testing.assert_allclose(out, win, atol=1e-7)
+    for out in _views((Scale(low=1.0, high=1.0),), win, rng):
+        np.testing.assert_allclose(out, win, atol=1e-7)
 
 
 def test_permute_one_segment_is_identity(win, rng):
-    out = apply_pipeline_array((Permute(n_segments=1),), win, rng)
-    np.testing.assert_array_equal(out, win)
+    for out in _views((Permute(n_segments=1),), win, rng):
+        np.testing.assert_array_equal(out, win)
 
 
 def test_negate_is_involution(win, rng):
-    once = apply_array(Negate(), win, rng)
-    twice = apply_array(Negate(), once, rng)
-    np.testing.assert_array_equal(twice, win)
-    np.testing.assert_array_equal(once, -win)
+    for once in _views((Negate(),), win, rng):
+        np.testing.assert_array_equal(once, -win)
+    for twice in _views((Negate(), Negate()), win, rng):
+        np.testing.assert_array_equal(twice, win)
 
 
 def test_time_flip_is_involution(win, rng):
-    once = apply_array(TimeFlip(), win, rng)
-    twice = apply_array(TimeFlip(), once, rng)
-    np.testing.assert_array_equal(twice, win)
-    np.testing.assert_array_equal(once, win[:, ::-1])
+    for once in _views((TimeFlip(),), win, rng):
+        np.testing.assert_array_equal(once, win[:, ::-1])
+    for twice in _views((TimeFlip(), TimeFlip()), win, rng):
+        np.testing.assert_array_equal(twice, win)
 
 
 def test_output_clamped(rng):
     vals = np.full((3, 32), 0.99, dtype=np.float32)
-    out = apply_pipeline_array((Scale(low=3.0, high=3.0),), vals, rng)
-    assert out.max() <= 1.0
-    assert out.min() >= -1.0
+    out = _views((Scale(low=3.0, high=3.0),), vals, rng)
+    np.testing.assert_array_equal(out, 1.0)
+    out, _ = sample_task_batch(vals[None], (Scale(low=3.0, high=3.0),), rng, p=1.0)
+    np.testing.assert_array_equal(out, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# rotation
+# rotation (per-timestep norms stay below 1, so the clamp never acts)
 
 def test_rotate3d_preserves_per_timestep_norms(win, rng):
-    out = apply_array(Rotate3D(max_angle_deg=30.0), win, rng)
-    np.testing.assert_allclose(np.linalg.norm(out, axis=0),
-                               np.linalg.norm(win, axis=0), atol=1e-5)
+    small = 0.5 * win
+    for out in _views((Rotate3D(max_angle_deg=30.0),), small, rng):
+        np.testing.assert_allclose(np.linalg.norm(out, axis=0),
+                                   np.linalg.norm(small, axis=0), atol=1e-5)
 
 
 def test_rotate3d_applies_one_matrix_for_all_timesteps(win, rng):
-    out = apply_array(Rotate3D(45.0), win, rng)
-    # recover the matrix from 3 timesteps, check it maps the rest too
-    a = win[:, :3].astype(np.float64)
-    b = out[:, :3].astype(np.float64)
-    r = b @ np.linalg.inv(a)
-    np.testing.assert_allclose(r @ win, out, atol=1e-4)
+    small = 0.5 * win
+    for out in _views((Rotate3D(45.0),), small, rng):
+        # recover the matrix from 3 timesteps, check it maps the rest too
+        a = small[:, :3].astype(np.float64)
+        b = out[:, :3].astype(np.float64)
+        r = b @ np.linalg.inv(a)
+        np.testing.assert_allclose(r @ small, out, atol=1e-4)
 
 
 def test_rotate3d_needs_three_channels(rng):
+    two = np.zeros((1, 2, 16), dtype=np.float32)
     with pytest.raises(AugmentError, match="3 channels"):
-        apply_array(Rotate3D(30.0), np.zeros((2, 16), dtype=np.float32), rng)
+        paired_views_batch(two, (Rotate3D(30.0),), rng)
+    with pytest.raises(AugmentError, match="3 channels"):
+        sample_task_batch(two, (Rotate3D(30.0),), rng, p=1.0)
 
 
 def test_permute_preserves_channel_multisets(win, rng):
-    out = apply_array(Permute(n_segments=4), win, rng)
-    for c in range(3):
-        np.testing.assert_array_equal(np.sort(out[c]), np.sort(win[c]))
+    for out in _views((Permute(n_segments=4),), win, rng):
+        for c in range(3):
+            np.testing.assert_array_equal(np.sort(out[c]), np.sort(win[c]))
 
 
 def test_channel_shuffle_permutes_rows(win, rng):
-    out = apply_array(ChannelShuffle(), win, rng)
-    got = {out[i].tobytes() for i in range(3)}
     want = {win[i].tobytes() for i in range(3)}
-    assert got == want
+    for out in _views((ChannelShuffle(),), win, rng):
+        assert {out[i].tobytes() for i in range(3)} == want
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +265,6 @@ def test_batch_views_match_per_window_reference(pipeline):
             for kind in pipeline:
                 x = _reference_apply(kind, x, r)
             np.testing.assert_array_equal(out[2 * i + j], np.clip(x, -1.0, 1.0))
-    # the one-window entry point is the same code
-    r = np.random.default_rng(3).spawn(5)[0].spawn(2)[0]
-    np.testing.assert_array_equal(out[0], apply_pipeline_array(pipeline, wins[0], r))
 
 
 def test_task_batch_matches_per_window_reference():
