@@ -16,10 +16,11 @@ import sys
 
 import numpy as np
 
-from .adapt import (FinetuneConfig, ReplayConfig, load_pretrained, run_pipeline,
-                    save_pretrained)
-from .data import (SplitPlan, apply_norm, compute_norm_stats, make_split,
-                   read_csv_dataset, read_dataset, synth_generate, write_dataset)
+from .adapt import (END_TO_END, LINEAR, MODES, PLAIN, FinetuneConfig, ReplayConfig,
+                    load_pretrained, run_pipeline, save_pretrained)
+from .data import (SplitPlan, apply_norm, compute_norm_stats, default_synth_spec,
+                   make_split, read_csv_dataset, read_dataset, synth_generate,
+                   write_dataset)
 from .harness import (domain_shift_study, dump_embeddings, leave_one_domain_out,
                       load_plan, load_plan_dataset, pretrain_for_target)
 from .metrics import evaluate
@@ -44,7 +45,6 @@ def cmd_synth(args) -> int:
             print("plan has no data.synth section", file=sys.stderr)
             return 2
     else:
-        from .data import default_synth_spec
         spec = default_synth_spec(args.domains, args.classes, args.samples)
         seed = args.seed if args.seed is not None else 0
     ds = synth_generate(spec, seed)
@@ -77,22 +77,29 @@ def cmd_make_split(args) -> int:
     return 0
 
 
-def cmd_adapt(args) -> int:
-    model = load_pretrained(args.model)
+def _adapt_and_report(args, model, mode: str, replay_cfg: ReplayConfig,
+                      ft_cfg: FinetuneConfig):
+    """Run one pipeline arm on the split, save the bundle with a log
+    (pipeline plus test report) next to it, and return the test report."""
     ds = _load_data(args.data)
     split = SplitPlan.load_json(args.split)
     dsn = _normalized_for_split(ds, split)
-    replay_cfg = ReplayConfig(steps=args.replay_steps, lr=args.replay_lr)
-    ft_cfg = FinetuneConfig(protocol=args.protocol, epochs=args.ft_epochs)
     rng = np.random.default_rng(args.seed)
-    bundle, plog = run_pipeline(args.mode, model, dsn, split, replay_cfg, ft_cfg, rng)
+    bundle, plog = run_pipeline(mode, model, dsn, split, replay_cfg, ft_cfg, rng)
     bundle.save(args.out)
     report = evaluate(bundle, dsn.values[split.target_test],
                       dsn.labels[split.target_test], ds.n_classes, args.seed,
                       enc_cfg=model.enc_cfg)
-    log = {**plog.to_json_dict(), "test": report.to_json_dict()}
     with open(f"{args.out}.log.json", "w") as fh:
-        json.dump(log, fh, indent=1)
+        json.dump({**plog.to_json_dict(), "test": report.to_json_dict()}, fh, indent=1)
+    return report
+
+
+def cmd_adapt(args) -> int:
+    report = _adapt_and_report(
+        args, load_pretrained(args.model), args.mode,
+        ReplayConfig(steps=args.replay_steps, lr=args.replay_lr),
+        FinetuneConfig(protocol=args.protocol, epochs=args.ft_epochs))
     print(f"mode={args.mode} macro-F1 {report.macro_f1:.4f} "
           f"accuracy {report.accuracy:.4f} on {report.n} test windows; "
           f"model saved to {args.out}")
@@ -101,20 +108,10 @@ def cmd_adapt(args) -> int:
 
 def cmd_finetune(args) -> int:
     model = load_pretrained(args.model)
-    ds = _load_data(args.data)
-    split = SplitPlan.load_json(args.split)
-    dsn = _normalized_for_split(ds, split)
-    mode = "baseline" if model.method == "plain" else "meta_only"
-    ft_cfg = FinetuneConfig(protocol=args.protocol, lr=args.lr, epochs=args.epochs)
-    rng = np.random.default_rng(args.seed)
-    bundle, plog = run_pipeline(mode, model, dsn, split, ReplayConfig(steps=0),
-                                ft_cfg, rng)
-    bundle.save(args.out)
-    report = evaluate(bundle, dsn.values[split.target_test],
-                      dsn.labels[split.target_test], ds.n_classes, args.seed,
-                      enc_cfg=model.enc_cfg)
-    with open(f"{args.out}.log.json", "w") as fh:
-        json.dump({**plog.to_json_dict(), "test": report.to_json_dict()}, fh, indent=1)
+    mode = "baseline" if model.method == PLAIN else "meta_only"
+    report = _adapt_and_report(
+        args, model, mode, ReplayConfig(steps=0),
+        FinetuneConfig(protocol=args.protocol, lr=args.lr, epochs=args.epochs))
     print(f"fine-tuned ({mode}) macro-F1 {report.macro_f1:.4f}; saved to {args.out}")
     return 0
 
@@ -161,14 +158,16 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Meta-learned self-supervised "
                                             "pre-training with pretext replay")
     sub = p.add_subparsers(dest="command", required=True)
+    spec, replay, ft = default_synth_spec(), ReplayConfig(), FinetuneConfig()
 
     s = sub.add_parser("synth", help="generate a synthetic multi-domain dataset")
     s.add_argument("--out", required=True)
     s.add_argument("--plan", help="take the generator spec from this plan file")
     s.add_argument("--seed", type=int)
-    s.add_argument("--domains", type=int, default=4)
-    s.add_argument("--classes", type=int, default=4)
-    s.add_argument("--samples", type=int, default=60, help="windows per (domain,class)")
+    s.add_argument("--domains", type=int, default=len(spec.domains))
+    s.add_argument("--classes", type=int, default=spec.n_classes)
+    s.add_argument("--samples", type=int, default=spec.samples_per_class,
+                   help="windows per (domain,class)")
     s.set_defaults(fn=cmd_synth)
 
     for name, method in (("pretrain", "plain"), ("meta-pretrain", "meta")):
@@ -190,12 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True)
     s.add_argument("--data", required=True)
     s.add_argument("--split", required=True)
-    s.add_argument("--mode", default="full",
-                   choices=["baseline", "replay_only", "meta_only", "full"])
-    s.add_argument("--replay-steps", type=int, default=10)
-    s.add_argument("--replay-lr", type=float, default=5e-3)
-    s.add_argument("--protocol", default="linear", choices=["linear", "end_to_end"])
-    s.add_argument("--ft-epochs", type=int, default=20)
+    s.add_argument("--mode", default="full", choices=MODES)
+    s.add_argument("--replay-steps", type=int, default=replay.steps)
+    s.add_argument("--replay-lr", type=float, default=replay.lr)
+    s.add_argument("--protocol", default=ft.protocol, choices=(LINEAR, END_TO_END))
+    s.add_argument("--ft-epochs", type=int, default=ft.epochs)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_adapt)
@@ -204,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True)
     s.add_argument("--data", required=True)
     s.add_argument("--split", required=True)
-    s.add_argument("--protocol", default="linear", choices=["linear", "end_to_end"])
+    s.add_argument("--protocol", default=ft.protocol, choices=(LINEAR, END_TO_END))
     s.add_argument("--lr", type=float)
-    s.add_argument("--epochs", type=int, default=20)
+    s.add_argument("--epochs", type=int, default=ft.epochs)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_finetune)

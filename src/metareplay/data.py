@@ -106,11 +106,6 @@ class Dataset:
     def domain_indices(self, d: int) -> np.ndarray:
         return np.flatnonzero(self.domains == d)
 
-    def class_counts(self, indices: Optional[np.ndarray] = None) -> np.ndarray:
-        labs = self.labels if indices is None else self.labels[indices]
-        labs = labs[labs >= 0]
-        return np.bincount(labs, minlength=self.n_classes)
-
 
 @dataclass(frozen=True)
 class SplitPlan:
@@ -459,8 +454,9 @@ def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
     return Dataset(values, labels, domains, tags, spec.n_classes)
 
 
-def default_synth_spec(n_domains: int = 4, n_classes: int = 4,
-                       samples_per_class: int = 60) -> SynthSpec:
+def default_synth_spec(n_domains: int = 4, n_classes: int = SynthSpec.n_classes,
+                       samples_per_class: int = SynthSpec.samples_per_class
+                       ) -> SynthSpec:
     """Four-domain recipe with orientation, gain, noise, and phase shift
     growing with the domain index. Rotations step by 65 degrees about the
     class-circle axis, deliberately wider than the 30-degree augmentation

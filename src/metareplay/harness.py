@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,8 +31,9 @@ from .models import (EncoderConfig, default_encoder_config, encode,
                      encoder_from_config, encoder_to_config)
 from .optim import adam_step
 from .params import ParamVector, grad_of
-from .pretext import (PretextObjective, eval_ssl, init_for_objective, min_batch,
-                      objective_from_config, objective_to_config)
+from .pretext import (OBJECTIVES, PretextError, PretextObjective, eval_ssl,
+                      init_for_objective, min_batch, objective_from_config,
+                      objective_to_config)
 
 
 class PlanError(ValueError):
@@ -65,18 +66,12 @@ def rng_for(master: int, *tokens) -> np.random.Generator:
 _SECTIONS = ("data", "pretext", "meta", "replay", "finetune", "sweep")
 
 _DATA_KEYS = {"path", "synth", "min_count"}
-_SYNTH_KEYS = {"n_domains", "n_classes", "samples_per_class", "timesteps", "seed",
-               "recipes"}
-_META_KEYS = {"M", "M_dom", "K", "alpha", "beta", "inner_steps", "epochs", "outer",
-              "val_tasks", "multi_task_fraction"}
-_REPLAY_KEYS = {"steps", "lr", "kind"}
-_FINETUNE_KEYS = {"protocol", "lr", "epochs"}
-_SWEEP_KEYS = {"modes", "shots", "seeds", "seed", "plain_epochs", "plain_batch",
-               "plain_lr", "plain_weight_decay", "study_kinds", "study_shots",
-               "preset"}
+_SYNTH_SIZES = ("n_classes", "samples_per_class", "timesteps")     # SynthSpec fields
+_SYNTH_KEYS = {"n_domains", "seed", "recipes", *_SYNTH_SIZES}
+_SYNTH_DEFAULT = default_synth_spec()
 
 PRESETS = {
-    "desk_scale": {},               # the defaults below are the desk scale
+    "desk_scale": {},               # the defaults are the desk scale
     "paper_scale": {"data": {"min_count": 500},
                     "meta": {"epochs": 5000, "K": 128},
                     "sweep": {"plain_epochs": 100, "plain_batch": 128}},
@@ -87,6 +82,15 @@ def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
     unknown = set(given) - allowed
     if unknown:
         raise PlanError(f"unknown keys in {section!r}: {sorted(unknown)}")
+
+
+def _build(section: str, cls, given: dict):
+    """cls(**given), after checking given's keys against cls's fields."""
+    _check_keys(section, given, {f.name for f in fields(cls)})
+    try:
+        return cls(**given)
+    except TypeError as e:                  # a value of the wrong JSON type
+        raise PlanError(f"bad value in {section!r}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,13 @@ class PretrainHyper:
         if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0 or \
                 self.weight_decay < 0:
             raise PlanError(f"bad pretraining hyperparameters: {self}")
+
+
+# sweep key -> PretrainHyper field
+_PLAIN_FIELDS = {"plain_epochs": "epochs", "plain_batch": "batch_size",
+                 "plain_lr": "lr", "plain_weight_decay": "weight_decay"}
+_SWEEP_KEYS = {"modes", "shots", "seeds", "seed", "study_kinds", "study_shots",
+               "preset", *_PLAIN_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -129,14 +140,25 @@ class ExperimentPlan:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _merge(base: dict, extra: dict) -> dict:
-    out = dict(base)
-    out.update(extra)
-    return out
+def _sweep_list(sweep: dict, key: str, default) -> tuple:
+    value = sweep.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise PlanError(f"sweep.{key} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def load_plan(source) -> ExperimentPlan:
-    """Parse a plan from a JSON file path or an equivalent dict."""
+    """Parse a plan from a JSON file path or an equivalent dict.
+
+    Keys and defaults come from the config dataclasses. The meta, replay
+    and finetune sections take the fields of MetaHyper, ReplayConfig and
+    FinetuneConfig (meta also accepts its derived multi_task_fraction);
+    pretext takes "kind", that objective class's fields and "encoder";
+    recipes take DomainRecipe's fields; the sweep's plain_* keys map to
+    PretrainHyper's fields (_PLAIN_FIELDS); synthetic-data defaults are
+    default_synth_spec()'s. plan.raw is written from the parsed objects,
+    so it spells out every default.
+    """
     if isinstance(source, dict):
         raw = source
     else:
@@ -158,7 +180,10 @@ def load_plan(source) -> ExperimentPlan:
                             f"have {sorted(PRESETS)}")
         preset = PRESETS[preset_name]
 
-    data = _merge(preset.get("data", {}), dict(raw.get("data", {})))
+    def section(name: str) -> dict:
+        return {**preset.get(name, {}), **raw.get(name, {})}
+
+    data = section("data")
     _check_keys("data", data, _DATA_KEYS)
     data_path = data.get("path")
     min_count = int(data.get("min_count", 50))
@@ -173,85 +198,78 @@ def load_plan(source) -> ExperimentPlan:
         synth_cfg = dict(synth_cfg)
         _check_keys("data.synth", synth_cfg, _SYNTH_KEYS)
         synth_seed = int(synth_cfg.get("seed", 0))
-        n_domains = int(synth_cfg.get("n_domains", 4))
-        n_classes = int(synth_cfg.get("n_classes", 4))
-        spc = int(synth_cfg.get("samples_per_class", 60))
-        timesteps = int(synth_cfg.get("timesteps", 256))
+        n_domains = int(synth_cfg.get("n_domains", len(_SYNTH_DEFAULT.domains)))
+        sizes = {k: int(synth_cfg.get(k, getattr(_SYNTH_DEFAULT, k)))
+                 for k in _SYNTH_SIZES}
         recipes = synth_cfg.get("recipes")
         if recipes is None:
-            domains = default_synth_spec(n_domains, n_classes, spc).domains
+            domains = default_synth_spec(n_domains).domains
         else:
-            domains = tuple(DomainRecipe(**r) for r in recipes)
-        synth_spec = SynthSpec(domains=domains, n_classes=n_classes,
-                               samples_per_class=spc, timesteps=timesteps)
+            domains = tuple(_build(f"data.synth.recipes[{i}]", DomainRecipe, r)
+                            for i, r in enumerate(recipes))
+        synth_spec = SynthSpec(domains=domains, **sizes)
 
-    pretext = _merge(preset.get("pretext", {}), dict(raw.get("pretext", {})))
+    pretext = section("pretext")
     enc_cfg = encoder_from_config(pretext.pop("encoder", None) or {})
     objective = objective_from_config(pretext)
 
-    meta_in = _merge(preset.get("meta", {}), dict(raw.get("meta", {})))
-    _check_keys("meta", meta_in, _META_KEYS)
+    meta_in = section("meta")
     meta_in.pop("multi_task_fraction", None)      # informational; recomputed
-    meta_hyper = MetaHyper(**meta_in)
+    meta_hyper = _build("meta", MetaHyper, meta_in)
 
-    replay_in = _merge(preset.get("replay", {}), dict(raw.get("replay", {})))
-    _check_keys("replay", replay_in, _REPLAY_KEYS)
-    if "lr" not in replay_in or replay_in["lr"] is None:
+    replay_in = section("replay")
+    if replay_in.get("lr") is None:
         replay_in["lr"] = meta_hyper.alpha       # replay reuses the inner rate
-    replay_cfg = ReplayConfig(**replay_in)
+    replay_cfg = _build("replay", ReplayConfig, replay_in)
+    finetune_cfg = _build("finetune", FinetuneConfig, section("finetune"))
 
-    ft_in = _merge(preset.get("finetune", {}), dict(raw.get("finetune", {})))
-    _check_keys("finetune", ft_in, _FINETUNE_KEYS)
-    finetune_cfg = FinetuneConfig(**ft_in)
-
-    sweep = _merge(preset.get("sweep", {}), sweep_in)
-    modes = tuple(sweep.get("modes", list(MODES)))
+    sweep = {**preset.get("sweep", {}), **sweep_in}
+    modes = _sweep_list(sweep, "modes", MODES)
     for m in modes:
         if m not in MODES:
             raise PlanError(f"unknown mode {m!r}; expected subset of {MODES}")
     if not modes:
         raise PlanError("sweep.modes must be non-empty")
-    shots = tuple(int(s) for s in sweep.get("shots", (1, 2, 5, 10)))
+    shots = tuple(int(s) for s in _sweep_list(sweep, "shots", (1, 2, 5, 10)))
     if not shots or any(s < 1 for s in shots):
         raise PlanError(f"sweep.shots must be positive and non-empty, got {shots}")
     n_seeds = int(sweep.get("seeds", 5))
     if n_seeds < 1:
         raise PlanError(f"sweep.seeds must be >= 1, got {n_seeds}")
-    plain_hyper = PretrainHyper(epochs=int(sweep.get("plain_epochs", 30)),
-                                batch_size=int(sweep.get("plain_batch", 64)),
-                                lr=float(sweep.get("plain_lr", 1e-3)),
-                                weight_decay=float(sweep.get("plain_weight_decay", 0.0)))
-    study_kinds = tuple(sweep.get("study_kinds", ("simclr", "cpc", "multitask")))
+    master_seed = int(sweep.get("seed", 0))
+    plain_default = PretrainHyper()
+    plain_hyper = replace(plain_default, **{
+        name: type(getattr(plain_default, name))(sweep[key])
+        for key, name in _PLAIN_FIELDS.items() if key in sweep})
+    study_kinds = _sweep_list(sweep, "study_kinds", tuple(OBJECTIVES))
+    for kind in study_kinds:
+        try:
+            objective_from_config({"kind": kind})
+        except PretextError as e:
+            raise PlanError(f"sweep.study_kinds: {e}") from None
     study_shots = int(sweep.get("study_shots", 5))
+    if study_shots < 1:
+        raise PlanError(f"sweep.study_shots must be >= 1, got {study_shots}")
 
     normalized = {
         "data": {"path": data_path,
                  "synth": None if synth_spec is None else
                  {"n_domains": len(synth_spec.domains),
-                  "n_classes": synth_spec.n_classes,
-                  "samples_per_class": synth_spec.samples_per_class,
-                  "timesteps": synth_spec.timesteps,
+                  **{k: getattr(synth_spec, k) for k in _SYNTH_SIZES},
                   "seed": synth_seed,
                   "recipes": [{**vars(r), "channel_gains": list(r.channel_gains)}
                               for r in synth_spec.domains]},
                  "min_count": min_count},
         "pretext": {**objective_to_config(objective),
                     "encoder": encoder_to_config(enc_cfg)},
-        "meta": {"M": meta_hyper.M, "M_dom": meta_hyper.M_dom, "K": meta_hyper.K,
-                 "alpha": meta_hyper.alpha, "beta": meta_hyper.beta,
-                 "inner_steps": meta_hyper.inner_steps, "epochs": meta_hyper.epochs,
-                 "outer": meta_hyper.outer, "val_tasks": meta_hyper.val_tasks,
+        "meta": {**asdict(meta_hyper),
                  "multi_task_fraction": meta_hyper.multi_task_fraction},
-        "replay": {"steps": replay_cfg.steps, "lr": replay_cfg.lr,
-                   "kind": replay_cfg.kind},
-        "finetune": {"protocol": finetune_cfg.protocol, "lr": finetune_cfg.lr,
-                     "epochs": finetune_cfg.epochs},
+        "replay": asdict(replay_cfg),
+        "finetune": asdict(finetune_cfg),
         "sweep": {"modes": list(modes), "shots": list(shots), "seeds": n_seeds,
-                  "seed": int(sweep.get("seed", 0)),
-                  "plain_epochs": plain_hyper.epochs,
-                  "plain_batch": plain_hyper.batch_size,
-                  "plain_lr": plain_hyper.lr,
-                  "plain_weight_decay": plain_hyper.weight_decay,
+                  "seed": master_seed,
+                  **{key: getattr(plain_hyper, name)
+                     for key, name in _PLAIN_FIELDS.items()},
                   "study_kinds": list(study_kinds),
                   "study_shots": study_shots},
     }
@@ -260,7 +278,7 @@ def load_plan(source) -> ExperimentPlan:
                           objective=objective, enc_cfg=enc_cfg,
                           meta_hyper=meta_hyper, replay_cfg=replay_cfg,
                           finetune_cfg=finetune_cfg, modes=modes, shots=shots,
-                          n_seeds=n_seeds, master_seed=int(sweep.get("seed", 0)),
+                          n_seeds=n_seeds, master_seed=master_seed,
                           plain_hyper=plain_hyper, study_kinds=study_kinds,
                           study_shots=study_shots)
 

@@ -54,9 +54,6 @@ class ParamVector:
     def names(self) -> tuple[str, ...]:
         return self._names
 
-    def tensors(self) -> tuple[Tensor, ...]:
-        return self._tensors
-
     def __len__(self) -> int:
         return len(self._names)
 
@@ -105,22 +102,14 @@ class ParamVector:
     def zeros_like(self) -> "ParamVector":
         return self.map(lambda _, a: np.zeros_like(a))
 
-    def grads(self, missing: str = "zero") -> "ParamVector":
+    def grads(self) -> "ParamVector":
         """Collect .grad from each tensor after a backward pass.
 
         Parameters that did not participate in the loss have no recorded
-        gradient; by default they collect as zeros (their true gradient).
-        Pass missing="error" to treat that as a bug instead.
+        gradient; they collect as zeros (their true gradient).
         """
-        out = []
-        for n, t in self:
-            if t.grad is None:
-                if missing == "zero":
-                    out.append((n, Tensor(np.zeros_like(t.data))))
-                    continue
-                raise ParamMismatchError(f"no gradient recorded for {n}")
-            out.append((n, Tensor(t.grad)))
-        return ParamVector(out)
+        return ParamVector((n, Tensor(np.zeros_like(t.data) if t.grad is None else t.grad))
+                           for n, t in self)
 
     def select(self, pred: Callable[[str], bool]) -> "ParamVector":
         return ParamVector((n, t) for n, t in self if pred(n))

@@ -9,14 +9,15 @@ the single entry point the pre-training and adaptation loops call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Union
 
 import numpy as np
 
 from . import tensor as T
 from .augment import (AugmentKind, default_multitask_kinds, default_simclr_pipeline,
-                      kind_from_config, paired_views_batch, sample_task_batch)
+                      kind_from_config, kind_name, paired_views_batch,
+                      sample_task_batch)
 from .models import (EncoderConfig, aggregate_and_predict, default_encoder_config,
                      detect, encode, encode_frames, init_bundle, project, split_frames)
 from .params import ParamVector
@@ -71,16 +72,19 @@ class MultiTaskObjective:
 
 PretextObjective = Union[SimCLRObjective, CPCObjective, MultiTaskObjective]
 
+# kind name -> objective class; the classes' fields are the config keys
+OBJECTIVES = {"simclr": SimCLRObjective, "cpc": CPCObjective,
+              "multitask": MultiTaskObjective}
+_KIND_OF = {cls: kind for kind, cls in OBJECTIVES.items()}
+
 
 @dataclass
 class PretextBatchLoss:
     loss: Tensor
-    diagnostics: dict[str, float]
 
 
 def objective_kind(obj: PretextObjective) -> str:
-    return {SimCLRObjective: "simclr", CPCObjective: "cpc",
-            MultiTaskObjective: "multitask"}[type(obj)]
+    return _KIND_OF[type(obj)]
 
 
 def min_batch(obj: PretextObjective) -> int:
@@ -91,52 +95,36 @@ def min_batch(obj: PretextObjective) -> int:
 
 
 def objective_from_config(cfg: dict) -> PretextObjective:
-    """Build an objective from config keys kind/tau/horizon/kinds."""
+    """Build an objective from "kind" plus any of its class's fields.
+
+    Augmentation lists are built with kind_from_config; scalars take the
+    type of the field's default, so a JSON 1 for a temperature is 1.0.
+    """
     cfg = dict(cfg)
     kind = str(cfg.pop("kind", "simclr")).lower()
-    if kind == "simclr":
-        kwargs = {}
-        if "tau" in cfg:
-            kwargs["tau"] = float(cfg.pop("tau"))
-        if "pipeline" in cfg:
-            kwargs["pipeline"] = tuple(kind_from_config(e) for e in cfg.pop("pipeline"))
-        if "proj_dim" in cfg:
-            kwargs["proj_dim"] = int(cfg.pop("proj_dim"))
-        obj = SimCLRObjective(**kwargs)
-    elif kind == "cpc":
-        kwargs = {}
-        if "tau" in cfg:
-            kwargs["tau"] = float(cfg.pop("tau"))
-        if "horizon" in cfg:
-            kwargs["horizon"] = int(cfg.pop("horizon"))
-        if "frame_len" in cfg:
-            kwargs["frame_len"] = int(cfg.pop("frame_len"))
-        obj = CPCObjective(**kwargs)
-    elif kind == "multitask":
-        kwargs = {}
-        if "kinds" in cfg:
-            kwargs["kinds"] = tuple(kind_from_config(e) for e in cfg.pop("kinds"))
-        if "apply_prob" in cfg:
-            kwargs["apply_prob"] = float(cfg.pop("apply_prob"))
-        obj = MultiTaskObjective(**kwargs)
-    else:
+    if kind not in OBJECTIVES:
         raise PretextError(f"unknown pretext kind {kind!r}")
+    cls = OBJECTIVES[kind]
+    defaults = cls()
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in cfg:
+            default, value = getattr(defaults, f.name), cfg.pop(f.name)
+            kwargs[f.name] = tuple(kind_from_config(e) for e in value) \
+                if isinstance(default, tuple) else type(default)(value)
+    obj = cls(**kwargs)
     if cfg:
         raise PretextError(f"unknown pretext config keys: {sorted(cfg)}")
     return obj
 
 
 def objective_to_config(obj: PretextObjective) -> dict:
-    from dataclasses import asdict
-    from .augment import kind_name
-    if isinstance(obj, SimCLRObjective):
-        return {"kind": "simclr", "tau": obj.tau, "proj_dim": obj.proj_dim,
-                "pipeline": [{"kind": kind_name(k), **asdict(k)} for k in obj.pipeline]}
-    if isinstance(obj, CPCObjective):
-        return {"kind": "cpc", "tau": obj.tau, "horizon": obj.horizon,
-                "frame_len": obj.frame_len}
-    return {"kind": "multitask", "apply_prob": obj.apply_prob,
-            "kinds": [{"kind": kind_name(k), **asdict(k)} for k in obj.kinds]}
+    cfg = {"kind": objective_kind(obj)}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        cfg[f.name] = [{"kind": kind_name(k), **asdict(k)} for k in value] \
+            if isinstance(value, tuple) else value
+    return cfg
 
 
 def init_for_objective(obj: PretextObjective, cfg: EncoderConfig, n_classes: int,
@@ -234,15 +222,7 @@ def eval_ssl(obj: PretextObjective, params: ParamVector, windows: np.ndarray,
     if isinstance(obj, SimCLRObjective):
         views = paired_views_batch(windows, obj.pipeline, rng)
         z = project(params, encode(params, views, enc_cfg))
-        loss = simclr_loss(z, obj.tau)
-        zd = z.data / np.maximum(np.linalg.norm(z.data, axis=1, keepdims=True), 1e-8)
-        simmat = zd @ zd.T
-        np.fill_diagonal(simmat, -np.inf)
-        partner = np.arange(2 * n) ^ 1
-        pos_sim = simmat[np.arange(2 * n), partner]
-        diag = {"positive_sim_mean": float(pos_sim.mean()),
-                "contrastive_acc": float((simmat.argmax(axis=1) == partner).mean())}
-        return PretextBatchLoss(loss, diag)
+        return PretextBatchLoss(simclr_loss(z, obj.tau))
 
     if isinstance(obj, CPCObjective):
         frames = split_frames(windows, windows.shape[2] // obj.frame_len)
@@ -254,21 +234,8 @@ def eval_ssl(obj: PretextObjective, params: ParamVector, windows: np.ndarray,
         anchor = steps - obj.horizon
         _ctx, preds = aggregate_and_predict(params, emb, obj.horizon, anchor)
         targets = emb[:, anchor:anchor + obj.horizon, :]
-        loss = cpc_loss(preds, targets, obj.tau)
-        pn = preds.data / np.maximum(np.linalg.norm(preds.data, axis=2, keepdims=True), 1e-8)
-        tn = targets.data / np.maximum(np.linalg.norm(targets.data, axis=2, keepdims=True), 1e-8)
-        correct = 0
-        for k in range(obj.horizon):
-            scores = pn[:, k, :] @ tn[:, k, :].T
-            correct += (scores.argmax(axis=1) == np.arange(n)).sum()
-        diag = {"positive_sim_mean": float((pn * tn).sum(axis=2).mean()),
-                "contrastive_acc": float(correct / (n * obj.horizon))}
-        return PretextBatchLoss(loss, diag)
+        return PretextBatchLoss(cpc_loss(preds, targets, obj.tau))
 
     aug, labels = sample_task_batch(windows, obj.kinds, rng, obj.apply_prob)
     logits = detect(params, encode(params, aug, enc_cfg))
-    loss = multitask_loss(logits, labels)
-    pred = (logits.data > 0).astype(np.float32)
-    diag = {"detection_acc": float((pred == labels).mean()),
-            "applied_rate": float(labels.mean())}
-    return PretextBatchLoss(loss, diag)
+    return PretextBatchLoss(multitask_loss(logits, labels))

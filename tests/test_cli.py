@@ -147,6 +147,10 @@ def test_bad_inputs_exit_2(workdir, tmp_path, capsys):
     bad.write_text(json.dumps({"data": {"synth": {"wat": 1}}}))
     assert main(["sweep", "--plan", str(bad)]) == 2
     assert main(["synth", "--plan", str(bad), "--out", str(tmp_path / "x.ads")]) == 2
+    # malformed values are reported as plan errors, not tracebacks
+    bad.write_text(json.dumps({"sweep": {"shots": 5}}))
+    assert main(["sweep", "--plan", str(bad)]) == 2
+    assert "sweep.shots must be a list" in capsys.readouterr().err
     assert main(["adapt", "--model", str(tmp_path / "missing.adp2"),
                  "--data", str(workdir / "data.ads"),
                  "--split", str(workdir / "split.json"),

@@ -62,6 +62,12 @@ def test_unknown_section_and_keys_rejected():
         load_plan({"data": {"synth": {"rotation": 3}}})
     with pytest.raises(PlanError, match="unknown keys"):
         load_plan({"sweep": {"mode": ["full"]}})
+    with pytest.raises(PlanError, match="unknown keys"):
+        load_plan({"data": {"synth": {"recipes": [{"rotation": 3}]}}})
+    with pytest.raises(PlanError, match="unknown keys"):
+        load_plan({"replay": {"step": 1}})
+    with pytest.raises(PlanError, match="unknown keys"):
+        load_plan({"finetune": {"rate": 1}})
 
 
 def test_path_and_synth_exclusive():
@@ -78,6 +84,17 @@ def test_mode_shot_seed_validation():
         load_plan({"sweep": {"shots": [0]}})
     with pytest.raises(PlanError, match="seeds"):
         load_plan({"sweep": {"seeds": 0}})
+    with pytest.raises(PlanError, match="shots"):
+        load_plan({"sweep": {"shots": 5}})
+    with pytest.raises(PlanError, match="modes must be a list"):
+        load_plan({"sweep": {"modes": "full"}})
+    with pytest.raises(PlanError, match="study_kinds"):
+        load_plan({"sweep": {"study_kinds": ["nope"]}})
+    with pytest.raises(PlanError, match="study_shots"):
+        load_plan({"sweep": {"study_shots": 0}})
+    # a value of the wrong type is a plan error, not a TypeError
+    with pytest.raises(PlanError, match="bad value in 'meta'"):
+        load_plan({"meta": {"M": "12"}})
 
 
 def test_preset_merging_and_override():
@@ -127,9 +144,63 @@ def test_normalized_plan_is_json_native(source):
     assert raw == json.loads(json.dumps(raw))
 
 
-def test_fixture_config_hashes_are_pinned():
-    assert load_plan(FIXTURES / "transfer_plan.json").config_hash == "9261f0b8dd249c2e"
-    assert load_plan(FIXTURES / "study_plan.json").config_hash == "9a081d5084d1ef1c"
+# Pinned config_hash per plan: the normalized form, and so every stored
+# hash, must not drift. Together the plans spell out every key, with an
+# int-valued float where the parser coerces (objective scalars, plain_*,
+# synth sizes) and where it keeps the JSON type (meta, replay, finetune).
+_PINNED_HASHES = {
+    "transfer": (FIXTURES / "transfer_plan.json", "9261f0b8dd249c2e"),
+    "study": (FIXTURES / "study_plan.json", "9a081d5084d1ef1c"),
+    "defaults": ({}, "ba16aca64a637a5f"),
+    "micro": (micro_plan_dict(), "d68a2bfa36ec6bb3"),
+    "paper_scale": ({"sweep": {"preset": "paper_scale"}}, "793a3a29474a6728"),
+    # the cpc default's hash: the int temperature is read as a float
+    "cpc_tau_int": ({"pretext": {"kind": "cpc", "tau": 1}}, "f49b25e9bb0fc7b6"),
+    "simclr_tau_int": ({"pretext": {"kind": "simclr", "tau": 1}}, "76009327b9c7aa80"),
+    "simclr_all": ({"pretext": {"kind": "SimCLR", "tau": 1, "proj_dim": 32.0,
+                                "pipeline": [{"kind": "jitter", "sigma": 1},
+                                             {"kind": "scale", "low": 1, "high": 2},
+                                             "negate",
+                                             {"kind": "rotate3d", "max_angle_deg": 10},
+                                             {"kind": "permute", "n_segments": 2}]}},
+                   "cf77f67d3f1e8289"),
+    "cpc_all": ({"pretext": {"kind": "cpc", "tau": 2, "horizon": 3.0, "frame_len": 16}},
+                "3d2cce899350b0d3"),
+    "multitask_all": ({"pretext": {"kind": "multitask", "apply_prob": 1,
+                                   "kinds": ["negate", {"kind": "jitter", "sigma": 1}]}},
+                      "6c6ff909f7c3b303"),
+    "encoder": ({"pretext": {"encoder": {"blocks": [[8, 5, 2], [16, 3, 1]],
+                                         "embedding_dim": 16}}},
+                "85f26f144da46606"),
+    "meta_all": ({"meta": {"M": 6, "M_dom": 2, "K": 8, "alpha": 1, "beta": 2,
+                           "inner_steps": 0, "epochs": 3, "outer": "sgd",
+                           "val_tasks": 1, "multi_task_fraction": 0.9}},
+                 "d43548c9c419e43e"),
+    "replay_all": ({"replay": {"steps": 3, "lr": 1, "kind": "cpc"}}, "404e6fa04107db65"),
+    "finetune_all": ({"finetune": {"protocol": "end_to_end", "lr": 1, "epochs": 4}},
+                     "38b439cc6ee3363f"),
+    "sweep_all": ({"sweep": {"modes": ["full"], "shots": [1.0, 3], "seeds": 2.0,
+                             "seed": 4.0, "plain_epochs": 3.0, "plain_batch": 8,
+                             "plain_lr": 1, "plain_weight_decay": 0,
+                             "study_kinds": ["cpc", "SimCLR"], "study_shots": 2.0,
+                             "preset": "paper_scale"}},
+                  "fdf0925dc4f29827"),
+    "synth_all": ({"data": {"synth": {"n_domains": 3.0, "n_classes": 2,
+                                      "timesteps": 64.0, "samples_per_class": 7,
+                                      "seed": 3.0},
+                            "min_count": 4.0}},
+                  "9d1215b3fe0858a5"),
+    "recipes": ({"data": {"synth": {"recipes": [{"rotation_deg": 10, "gain": 2,
+                                                 "channel_gains": [1, 2, 3]}, {}],
+                                    "n_classes": 3}}},
+                "763f4c3f357d7432"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_HASHES))
+def test_fixture_config_hashes_are_pinned(name):
+    source, expected = _PINNED_HASHES[name]
+    assert load_plan(source).config_hash == expected
 
 
 def test_normalized_plan_does_not_alias_the_spec():

@@ -69,14 +69,6 @@ def test_grads_fills_zero_for_untouched_params():
     np.testing.assert_array_equal(g["clf.w"].data, 0.0)
 
 
-def test_grads_missing_error_mode():
-    pv = make_pv()
-    loss = T.sum_(T.mul(pv["enc.w"], pv["enc.w"]))
-    T.backward(loss)
-    with pytest.raises(ParamMismatchError, match="no gradient"):
-        pv.grads(missing="error")
-
-
 def test_grad_of_collects_and_restores():
     pv = make_pv()
     loss = T.add(T.sum_(T.mul(pv["enc.w"], 3.0)), T.mean(pv["enc.b"]))

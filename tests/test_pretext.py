@@ -243,21 +243,6 @@ def test_eval_ssl_batch_too_small(rng):
         eval_ssl(obj, params, windows_batch(rng, n=1), np.random.default_rng(0))
 
 
-def test_eval_ssl_diagnostics_present(rng):
-    obj = SimCLRObjective()
-    params = init_for_objective(obj, default_encoder_config(), 4,
-                                np.random.default_rng(5))
-    out = eval_ssl(obj, params, windows_batch(rng), np.random.default_rng(0))
-    assert "positive_sim_mean" in out.diagnostics
-    assert "contrastive_acc" in out.diagnostics
-    mt = MultiTaskObjective(kinds=(Negate(),))
-    params = init_for_objective(mt, default_encoder_config(), 4,
-                                np.random.default_rng(6))
-    out = eval_ssl(mt, params, windows_batch(rng), np.random.default_rng(0))
-    assert "detection_acc" in out.diagnostics
-    assert "applied_rate" in out.diagnostics
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -268,6 +253,14 @@ def test_objective_config_round_trip():
         back = objective_from_config(objective_to_config(obj))
         assert objective_kind(back) == objective_kind(obj)
         assert back == obj
+    # an int-valued float is read as the float the field holds
+    cpc = objective_from_config({"kind": "cpc", "tau": 1, "horizon": 3.0})
+    assert cpc == CPCObjective(tau=1.0, horizon=3)
+    assert type(cpc.tau) is float and type(cpc.horizon) is int
+    assert objective_from_config(objective_to_config(cpc)) == cpc
+    mt = objective_to_config(objective_from_config({"kind": "multitask",
+                                                    "apply_prob": 1}))
+    assert type(mt["apply_prob"]) is float
 
 
 def test_objective_from_config_rejects_unknown_keys():
