@@ -116,10 +116,6 @@ class FinetuneLog:
     losses: list[float] = field(default_factory=list)
     accuracies: list[float] = field(default_factory=list)
 
-    @property
-    def final_accuracy(self) -> float:
-        return self.accuracies[-1] if self.accuracies else 0.0
-
     def to_json_dict(self) -> dict:
         return {"losses": self.losses, "accuracies": self.accuracies}
 

@@ -15,7 +15,7 @@ import csv
 import json
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -196,17 +196,6 @@ def windowize(series: np.ndarray, window: int = 256, overlap: int = 128,
     return [Window(values=series[:, i * step:i * step + window].copy(),
                    label=label, domain=domain)
             for i in range(count)]
-
-
-def dataset_from_windows(windows: Sequence[Window], domain_tags: Sequence[str],
-                         n_classes: int) -> Dataset:
-    if not windows:
-        raise DataError("no windows given")
-    values = np.stack([w.values for w in windows]).astype(np.float32)
-    labels = np.array([-1 if w.label is None else w.label for w in windows], dtype=np.int16)
-    domains = np.array([0 if w.domain is None else w.domain.id for w in windows],
-                       dtype=np.uint16)
-    return Dataset(values, labels, domains, tuple(domain_tags), n_classes)
 
 
 def compute_norm_stats(values: np.ndarray) -> NormStats:

@@ -84,8 +84,30 @@ def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
         raise PlanError(f"unknown keys in {section!r}: {sorted(unknown)}")
 
 
-def _build(section: str, cls, given: dict):
+def _object(where: str, value) -> dict:
+    """A copy of a plan value that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise PlanError(f"{where} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _list(where: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise PlanError(f"{where} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _coerce(where: str, typ, value):
+    """typ(value), with a value of the wrong JSON type as a PlanError."""
+    try:
+        return typ(value)
+    except TypeError as e:
+        raise PlanError(f"bad value for {where}: {e}") from None
+
+
+def _build(section: str, cls, given):
     """cls(**given), after checking given's keys against cls's fields."""
+    given = _object(section, given)
     _check_keys(section, given, {f.name for f in fields(cls)})
     try:
         return cls(**given)
@@ -140,13 +162,6 @@ class ExperimentPlan:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _sweep_list(sweep: dict, key: str, default) -> tuple:
-    value = sweep.get(key, default)
-    if not isinstance(value, (list, tuple)):
-        raise PlanError(f"sweep.{key} must be a list, got {value!r}")
-    return tuple(value)
-
-
 def load_plan(source) -> ExperimentPlan:
     """Parse a plan from a JSON file path or an equivalent dict.
 
@@ -170,23 +185,23 @@ def load_plan(source) -> ExperimentPlan:
     if unknown:
         raise PlanError(f"unknown plan sections: {sorted(unknown)}")
 
-    sweep_in = dict(raw.get("sweep", {}))
+    sweep_in = _object("sweep", raw.get("sweep", {}))
     _check_keys("sweep", sweep_in, _SWEEP_KEYS)
     preset_name = sweep_in.pop("preset", None)
     preset = {}
     if preset_name is not None:
-        if preset_name not in PRESETS:
+        if not isinstance(preset_name, str) or preset_name not in PRESETS:
             raise PlanError(f"unknown preset {preset_name!r}; "
                             f"have {sorted(PRESETS)}")
         preset = PRESETS[preset_name]
 
     def section(name: str) -> dict:
-        return {**preset.get(name, {}), **raw.get(name, {})}
+        return {**preset.get(name, {}), **_object(name, raw.get(name, {}))}
 
     data = section("data")
     _check_keys("data", data, _DATA_KEYS)
     data_path = data.get("path")
-    min_count = int(data.get("min_count", 50))
+    min_count = _coerce("data.min_count", int, data.get("min_count", 50))
     synth_cfg = data.get("synth")
     synth_spec = None
     synth_seed = 0
@@ -195,23 +210,31 @@ def load_plan(source) -> ExperimentPlan:
     if synth_cfg is not None:
         if data_path is not None:
             raise PlanError("give either data.path or data.synth, not both")
-        synth_cfg = dict(synth_cfg)
+        synth_cfg = _object("data.synth", synth_cfg)
         _check_keys("data.synth", synth_cfg, _SYNTH_KEYS)
-        synth_seed = int(synth_cfg.get("seed", 0))
-        n_domains = int(synth_cfg.get("n_domains", len(_SYNTH_DEFAULT.domains)))
-        sizes = {k: int(synth_cfg.get(k, getattr(_SYNTH_DEFAULT, k)))
+        synth_seed = _coerce("data.synth.seed", int, synth_cfg.get("seed", 0))
+        n_domains = _coerce("data.synth.n_domains", int,
+                            synth_cfg.get("n_domains", len(_SYNTH_DEFAULT.domains)))
+        sizes = {k: _coerce(f"data.synth.{k}", int,
+                            synth_cfg.get(k, getattr(_SYNTH_DEFAULT, k)))
                  for k in _SYNTH_SIZES}
         recipes = synth_cfg.get("recipes")
         if recipes is None:
             domains = default_synth_spec(n_domains).domains
         else:
             domains = tuple(_build(f"data.synth.recipes[{i}]", DomainRecipe, r)
-                            for i, r in enumerate(recipes))
+                            for i, r in enumerate(_list("data.synth.recipes", recipes)))
         synth_spec = SynthSpec(domains=domains, **sizes)
 
     pretext = section("pretext")
-    enc_cfg = encoder_from_config(pretext.pop("encoder", None) or {})
-    objective = objective_from_config(pretext)
+    try:
+        enc_cfg = encoder_from_config(pretext.pop("encoder", None) or {})
+    except TypeError as e:                  # a value of the wrong JSON type
+        raise PlanError(f"bad value in 'pretext.encoder': {e}") from None
+    try:
+        objective = objective_from_config(pretext)
+    except PretextError as e:
+        raise PlanError(f"pretext: {e}") from None
 
     meta_in = section("meta")
     meta_in.pop("multi_task_fraction", None)      # informational; recomputed
@@ -224,30 +247,31 @@ def load_plan(source) -> ExperimentPlan:
     finetune_cfg = _build("finetune", FinetuneConfig, section("finetune"))
 
     sweep = {**preset.get("sweep", {}), **sweep_in}
-    modes = _sweep_list(sweep, "modes", MODES)
+    modes = _list("sweep.modes", sweep.get("modes", MODES))
     for m in modes:
         if m not in MODES:
             raise PlanError(f"unknown mode {m!r}; expected subset of {MODES}")
     if not modes:
         raise PlanError("sweep.modes must be non-empty")
-    shots = tuple(int(s) for s in _sweep_list(sweep, "shots", (1, 2, 5, 10)))
+    shots = tuple(_coerce("sweep.shots", int, s)
+                  for s in _list("sweep.shots", sweep.get("shots", (1, 2, 5, 10))))
     if not shots or any(s < 1 for s in shots):
         raise PlanError(f"sweep.shots must be positive and non-empty, got {shots}")
-    n_seeds = int(sweep.get("seeds", 5))
+    n_seeds = _coerce("sweep.seeds", int, sweep.get("seeds", 5))
     if n_seeds < 1:
         raise PlanError(f"sweep.seeds must be >= 1, got {n_seeds}")
-    master_seed = int(sweep.get("seed", 0))
+    master_seed = _coerce("sweep.seed", int, sweep.get("seed", 0))
     plain_default = PretrainHyper()
     plain_hyper = replace(plain_default, **{
-        name: type(getattr(plain_default, name))(sweep[key])
+        name: _coerce(f"sweep.{key}", type(getattr(plain_default, name)), sweep[key])
         for key, name in _PLAIN_FIELDS.items() if key in sweep})
-    study_kinds = _sweep_list(sweep, "study_kinds", tuple(OBJECTIVES))
+    study_kinds = _list("sweep.study_kinds", sweep.get("study_kinds", tuple(OBJECTIVES)))
     for kind in study_kinds:
         try:
             objective_from_config({"kind": kind})
         except PretextError as e:
             raise PlanError(f"sweep.study_kinds: {e}") from None
-    study_shots = int(sweep.get("study_shots", 5))
+    study_shots = _coerce("sweep.study_shots", int, sweep.get("study_shots", 5))
     if study_shots < 1:
         raise PlanError(f"sweep.study_shots must be >= 1, got {study_shots}")
 

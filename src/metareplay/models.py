@@ -121,10 +121,6 @@ def init_bundle(kind: str, cfg: EncoderConfig, n_classes: int,
     return ParamVector(items)
 
 
-def encoder_param_count(params: ParamVector) -> int:
-    return sum(t.size for n, t in params if n.startswith(ENC_PREFIX))
-
-
 # ---------------------------------------------------------------------------
 # forward functions (pure in (params, input))
 

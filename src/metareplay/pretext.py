@@ -110,8 +110,11 @@ def objective_from_config(cfg: dict) -> PretextObjective:
     for f in fields(cls):
         if f.name in cfg:
             default, value = getattr(defaults, f.name), cfg.pop(f.name)
-            kwargs[f.name] = tuple(kind_from_config(e) for e in value) \
-                if isinstance(default, tuple) else type(default)(value)
+            try:
+                kwargs[f.name] = tuple(kind_from_config(e) for e in value) \
+                    if isinstance(default, tuple) else type(default)(value)
+            except TypeError as e:          # a value of the wrong JSON type
+                raise PretextError(f"bad value for pretext {f.name}: {e}") from None
     obj = cls(**kwargs)
     if cfg:
         raise PretextError(f"unknown pretext config keys: {sorted(cfg)}")

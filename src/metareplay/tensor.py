@@ -5,13 +5,16 @@ recurrent aggregator, and the contrastive / detection losses built on
 top: elementwise arithmetic, matmul, conv1d, pooling, normalization,
 softmax-family ops, and the stable loss primitives.
 
-The graph is rebuilt on every forward pass (define-by-run). Any op that
-produces a non-finite value raises immediately instead of letting NaN
-or Inf propagate.
+The graph is rebuilt on every forward pass (define-by-run) and consumed
+by the one backward pass that runs on it: each node drops its saved
+buffers and its parents as soon as its vjp has run, and only leaves keep
+a gradient. Any op that produces a non-finite value raises immediately
+instead of letting NaN or Inf propagate.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -27,7 +30,36 @@ class NumericError(ArithmeticError):
 
 
 class GraphError(RuntimeError):
-    """Backward called on an invalid target (non-scalar or detached)."""
+    """Backward called on an invalid target (non-scalar, detached, or a
+    graph that an earlier backward already consumed)."""
+
+
+def _keep_freed_heap() -> None:
+    """Let glibc keep the heap that a consumed graph frees.
+
+    Backward frees each step's graph while it runs, so the heap top is
+    free at the end of every step. With glibc's default dynamic thresholds
+    the allocator then trims it and the next forward pass faults it back
+    in: about 8,800 minor faults per batch-64 SimCLR step (256-sample
+    windows, default encoder), against none with both thresholds below.
+    Both are set because setting either one switches the dynamic
+    thresholds off: with the trim threshold alone a step took about
+    29,000 faults (113 MiB), with the mmap threshold alone about 12,000
+    (48 MiB), and the step ran up to twice as long. 32 MiB is the ceiling
+    glibc's own dynamic mmap threshold reaches on 64-bit hosts. Where
+    there is no mallopt, nothing is changed.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 256 << 20)          # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)           # M_MMAP_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list]
@@ -36,9 +68,10 @@ ArrayLike = Union["Tensor", np.ndarray, float, int, list]
 class Tensor:
     """A float32 ndarray plus the bookkeeping for reverse-mode autodiff.
 
-    ``grad`` is populated by :func:`backward` for every tensor with
-    ``requires_grad=True`` reachable from the loss. Data arrays are
-    treated as immutable once wrapped; ops always allocate fresh outputs.
+    ``grad`` is populated by :func:`backward` for every leaf (a tensor
+    built with ``requires_grad=True``, not by an op) reachable from the
+    loss; op outputs keep ``grad = None``. Data arrays are treated as
+    immutable once wrapped; ops always allocate fresh outputs.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
@@ -70,9 +103,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
@@ -145,13 +175,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse-mode pass from a scalar loss.
+def _consumed(g: np.ndarray) -> tuple:
+    raise GraphError("graph already consumed by backward")
 
-    Populates ``t.grad`` (overwriting any previous value) for every
-    tensor with ``requires_grad`` reachable from ``loss``. Each node in
-    the recorded graph is visited exactly once; gradients accumulate
-    additively across fan-out.
+
+def backward(loss: Tensor) -> None:
+    """Reverse-mode pass from a scalar loss; consumes the graph.
+
+    Populates ``t.grad`` (overwriting any previous value) for every leaf
+    with ``requires_grad`` reachable from ``loss``. Each node in the
+    recorded graph is visited exactly once; gradients accumulate
+    additively across fan-out. Once a node's vjp has run, the node lets go
+    of its parents and saved buffers, so the graph's memory is freed as
+    the pass goes and not when the caller drops the loss. A graph serves
+    one backward: running backward again on the same loss, or on another
+    loss built on a consumed node, raises GraphError.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward target must be scalar, got shape {loss.shape}")
@@ -175,12 +213,13 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g
         if node._vjp is None:
+            node.grad = g
             continue
         parent_grads = node._vjp(g)
         for p, pg in zip(node._parents, parent_grads):
@@ -188,6 +227,7 @@ def backward(loss: Tensor) -> None:
                 continue
             acc = grads.get(id(p))
             grads[id(p)] = pg if acc is None else acc + pg
+        node._vjp, node._parents = _consumed, ()
 
 
 # ---------------------------------------------------------------------------

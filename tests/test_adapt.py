@@ -170,7 +170,7 @@ def test_finetune_zero_epochs_gives_uniform_logits(ds, obj):
                            FinetuneConfig(epochs=0))
     logits = classify(bundle, encode(bundle, ds.values[:4]))
     assert np.array_equal(logits.data, np.zeros_like(logits.data))
-    assert log.final_accuracy == 0.0
+    assert log.accuracies == []
 
 
 def test_finetune_classifier_restarts_from_zero(ds, obj):
@@ -190,7 +190,7 @@ def test_finetune_separable_shots_reach_full_training_accuracy(obj):
     labels = np.array([0, 1, 2, 3, 0, 1, 2, 3], dtype=np.int64)
     params = params_for(obj)
     _, log = finetune(params, values, labels, FinetuneConfig())
-    assert log.final_accuracy == 1.0
+    assert log.accuracies[-1] == 1.0
 
 
 def test_finetune_missing_class_rejected(ds, obj):

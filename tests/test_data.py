@@ -6,9 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from metareplay.data import (DataError, Dataset, DomainId, DomainRecipe,
-                             SplitPlan, SynthSpec, Window, apply_norm,
-                             compute_norm_stats, dataset_from_windows,
+from metareplay.data import (DataError, Dataset, DomainRecipe, SplitPlan,
+                             SynthSpec, apply_norm, compute_norm_stats,
                              default_synth_spec, exclude_small_domains,
                              make_split, normalize, pool_split,
                              read_csv_dataset, read_dataset,
@@ -47,16 +46,6 @@ def test_windowize_short_series_raises():
 def test_windowize_bad_overlap_raises():
     with pytest.raises(DataError):
         windowize(np.zeros((3, 600), dtype=np.float32), window=256, overlap=256)
-
-
-def test_dataset_from_windows_maps_missing_label_to_minus_one():
-    w = [Window(values=np.zeros((3, 8), dtype=np.float32), label=None,
-                domain=DomainId(0, "a")),
-         Window(values=np.ones((3, 8), dtype=np.float32), label=1,
-                domain=DomainId(0, "a"))]
-    ds = dataset_from_windows(w, ("a",), n_classes=2)
-    assert ds.labels.tolist() == [-1, 1]
-    assert ds.labels.dtype == np.int16
 
 
 # ---------------------------------------------------------------------------

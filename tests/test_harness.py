@@ -68,6 +68,10 @@ def test_unknown_section_and_keys_rejected():
         load_plan({"replay": {"step": 1}})
     with pytest.raises(PlanError, match="unknown keys"):
         load_plan({"finetune": {"rate": 1}})
+    for bad in ({"pretext": []}, {"meta": []}, {"replay": []},
+                {"data": {"synth": {"recipes": [3]}}}):
+        with pytest.raises(PlanError, match="must be a JSON object"):
+            load_plan(bad)
 
 
 def test_path_and_synth_exclusive():
@@ -95,6 +99,14 @@ def test_mode_shot_seed_validation():
     # a value of the wrong type is a plan error, not a TypeError
     with pytest.raises(PlanError, match="bad value in 'meta'"):
         load_plan({"meta": {"M": "12"}})
+    for bad in ({"sweep": {"seeds": None}}, {"sweep": {"seed": None}},
+                {"sweep": {"plain_epochs": None}},
+                {"pretext": {"kind": "cpc", "tau": None}},
+                {"pretext": {"kind": "simclr", "pipeline": [3]}},
+                {"data": {"synth": {"n_domains": None}}},
+                {"pretext": {"encoder": {"blocks": 3, "embedding_dim": 8}}}):
+        with pytest.raises(PlanError, match="bad value"):
+            load_plan(bad)
 
 
 def test_preset_merging_and_override():
@@ -108,6 +120,8 @@ def test_preset_merging_and_override():
     assert plan.meta_hyper.epochs == 7
     with pytest.raises(PlanError, match="preset"):
         load_plan({"sweep": {"preset": "warehouse_scale"}})
+    with pytest.raises(PlanError, match="preset"):
+        load_plan({"sweep": {"preset": ["paper_scale"]}})
     assert "desk_scale" in PRESETS
 
 

