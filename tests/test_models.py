@@ -45,6 +45,12 @@ def test_encoder_golden_param_count():
         assert sum(t.size for n, t in params if n.startswith("enc.")) == 29728
 
 
+def test_encoder_count_identical_across_pretext_kinds():
+    counts = {kind: sum(t.size for n, t in bundle(kind) if n.startswith("enc."))
+              for kind in ("simclr", "cpc", "multitask")}
+    assert len(set(counts.values())) == 1
+
+
 def test_identical_windows_identical_rows(rng):
     params = bundle(rng=rng)
     w = rng.uniform(-1, 1, size=(1, 3, 256)).astype(np.float32)
