@@ -10,9 +10,9 @@ framework required.
 
 from .adapt import (FinetuneConfig, PretrainedModel, ReplayConfig, finetune,
                     load_pretrained, pretext_replay, run_pipeline, save_pretrained)
-from .data import (Dataset, DomainId, SplitPlan, SynthSpec, Window,
-                   exclude_small_domains, make_split, normalize, read_dataset,
-                   synth_generate, windowize, write_dataset)
+from .data import (Dataset, DomainId, SplitPlan, SynthSpec, exclude_small_domains,
+                   make_split, normalize, read_dataset, synth_generate, windowize,
+                   write_dataset)
 from .harness import (ExperimentPlan, PretrainHyper, SweepResult, domain_shift_study,
                       dump_embeddings, leave_one_domain_out, load_plan, plain_pretrain)
 from .meta import (MetaHyper, MetaTask, generate_tasks, inner_adapt, meta_epoch,
@@ -32,7 +32,7 @@ __all__ = [
     "EncoderConfig", "ExperimentPlan", "FinetuneConfig", "MetaHyper", "MetaTask",
     "MetricReport", "MultiTaskObjective", "ParamVector", "PretrainHyper",
     "PretrainedModel", "ReplayConfig", "SimCLRObjective", "SplitPlan", "SweepResult",
-    "SynthSpec", "Tensor", "Window", "accuracy", "adam_step", "aggregate",
+    "SynthSpec", "Tensor", "accuracy", "adam_step", "aggregate",
     "backward", "classify", "cpc_loss", "domain_shift_study", "dump_embeddings",
     "encode", "eval_ssl", "exclude_small_domains", "finetune", "generate_tasks",
     "init_bundle", "inner_adapt", "leave_one_domain_out", "load_plan",

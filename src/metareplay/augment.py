@@ -186,7 +186,7 @@ def sample_task_batch(windows: np.ndarray, kinds: Sequence[AugmentKind],
     probability p, in the listed order. Returns the transformed windows and
     the [n, m] float32 label matrix (1 = kind applied).
 
-    Window i draws from ``rng.spawn(n)[i]``: first its whole coin vector, so
+    The i-th window draws from ``rng.spawn(n)[i]``: first its whole coin vector, so
     that label patterns do not depend on how many random numbers each
     transform consumes, then the draws of the kinds it receives, in order.
     """

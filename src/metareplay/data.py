@@ -6,7 +6,9 @@ few-shot sampling, a synthetic multi-domain generator, and the binary /
 CSV dataset formats.
 
 A Dataset is immutable after construction: values [N, C, T] float32,
-labels [N] (-1 = unlabeled), domains [N] with dense ids 0..D-1.
+labels [N] (-1 = unlabeled), domains [N] with dense ids 0..D-1. A window
+set (a split's index sets, a meta task's support and query) is an int64
+index array into Dataset.values; no per-window record exists.
 """
 
 from __future__ import annotations
@@ -31,14 +33,6 @@ class DataError(ValueError):
 class DomainId:
     id: int
     tag: str
-
-
-@dataclass(frozen=True)
-class Window:
-    """One fixed-length multi-channel window."""
-    values: np.ndarray                      # [channels, timesteps] float32
-    label: Optional[int] = None
-    domain: Optional[DomainId] = None
 
 
 @dataclass(frozen=True)
@@ -92,16 +86,6 @@ class Dataset:
     @property
     def n_domains(self) -> int:
         return len(self.domain_tags)
-
-    def domain_id(self, d: int) -> DomainId:
-        return DomainId(d, self.domain_tags[d])
-
-    def window(self, i: int) -> Window:
-        d = int(self.domains[i])
-        lab = int(self.labels[i])
-        return Window(values=self.values[i],
-                      label=None if lab < 0 else lab,
-                      domain=DomainId(d, self.domain_tags[d]))
 
     def domain_indices(self, d: int) -> np.ndarray:
         return np.flatnonzero(self.domains == d)
@@ -176,10 +160,9 @@ class SplitPlan:
 # ---------------------------------------------------------------------------
 # windowing and normalization
 
-def windowize(series: np.ndarray, window: int = 256, overlap: int = 128,
-              label: Optional[int] = None, domain: Optional[DomainId] = None
-              ) -> list[Window]:
-    """Slice a [C, T] series into overlapping windows in temporal order.
+def windowize(series: np.ndarray, window: int = 256, overlap: int = 128) -> np.ndarray:
+    """Slice a [C, T] series into overlapping windows in temporal order;
+    returns [n, C, window] float32.
 
     The trailing remainder shorter than ``window`` is dropped.
     """
@@ -193,9 +176,7 @@ def windowize(series: np.ndarray, window: int = 256, overlap: int = 128,
         raise DataError(f"overlap {overlap} must be in [0, window)")
     step = window - overlap
     count = (t - window) // step + 1
-    return [Window(values=series[:, i * step:i * step + window].copy(),
-                   label=label, domain=domain)
-            for i in range(count)]
+    return np.stack([series[:, i * step:i * step + window] for i in range(count)])
 
 
 def compute_norm_stats(values: np.ndarray) -> NormStats:
@@ -289,11 +270,11 @@ def stratified_shot_split(ds: Dataset, candidates: np.ndarray, k: int,
     return shots, np.sort(perm[:n_val]), np.sort(perm[n_val:])
 
 
-def make_split(ds: Dataset, target: int | DomainId, k: int, seed: int) -> SplitPlan:
+def make_split(ds: Dataset, target: int, k: int, seed: int) -> SplitPlan:
     """Leave-one-domain-out split: non-target windows feed pretraining
     (70% pool, then 90/10 train/val); the target domain contributes k
     stratified shots per class and a 50/50 val/test remainder."""
-    t = target.id if isinstance(target, DomainId) else int(target)
+    t = int(target)
     if not 0 <= t < ds.n_domains:
         raise DataError(f"target domain {t} not in dataset (D={ds.n_domains})")
     if k < 1:
@@ -310,8 +291,8 @@ def make_split(ds: Dataset, target: int | DomainId, k: int, seed: int) -> SplitP
                                                            f"target domain {t}")
     return SplitPlan(pretrain_train=pretrain_train, pretrain_val=pretrain_val,
                      finetune_shots=shots, target_val=target_val,
-                     target_test=target_test, target_domain=ds.domain_id(t),
-                     seed=int(seed))
+                     target_test=target_test,
+                     target_domain=DomainId(t, ds.domain_tags[t]), seed=int(seed))
 
 
 # ---------------------------------------------------------------------------

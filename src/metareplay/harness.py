@@ -201,6 +201,8 @@ def load_plan(source) -> ExperimentPlan:
     data = section("data")
     _check_keys("data", data, _DATA_KEYS)
     data_path = data.get("path")
+    if data_path is not None and not isinstance(data_path, str):
+        raise PlanError(f"data.path must be a string, got {data_path!r}")
     min_count = _coerce("data.min_count", int, data.get("min_count", 50))
     synth_cfg = data.get("synth")
     synth_spec = None
@@ -310,7 +312,7 @@ def load_plan(source) -> ExperimentPlan:
 def load_plan_dataset(plan: ExperimentPlan) -> Dataset:
     """Materialize the plan's dataset and drop under-sized domains."""
     if plan.data_path is not None:
-        p = str(plan.data_path)
+        p = plan.data_path
         ds = read_csv_dataset(p) if p.endswith(".csv") else read_dataset(p)
     else:
         from .data import synth_generate

@@ -1,6 +1,8 @@
 """Task generation and self-supervised meta-pre-training.
 
-Tasks pair a support and a query set of K windows each. The first M_dom
+Tasks pair a support and a query set of K windows each, held as int64
+index arrays into the dataset; the windows are gathered from
+Dataset.values only when a task is trained or scored. The first M_dom
 tasks per epoch are domain-specific (both sets drawn from one uniformly
 chosen source domain); the rest mix windows from the whole pool and act
 as synthetic domains. One meta epoch adapts a copy of the parameters on
@@ -25,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, DomainId, Window
+from .data import Dataset
 from .models import EncoderConfig
 from .optim import AdamState, adam_step, sgd_step
 from .params import ParamVector, grad_of
@@ -38,31 +40,18 @@ class MetaError(ValueError):
 
 @dataclass(frozen=True)
 class MetaTask:
-    support: tuple[Window, ...]
-    query: tuple[Window, ...]
-    pure_domain: Optional[DomainId] = None
-    support_idx: Optional[np.ndarray] = None     # provenance into the source dataset
-    query_idx: Optional[np.ndarray] = None
+    """Support and query windows as int64 index arrays into the dataset
+    the task was drawn from; pure_domain is the id of the one source
+    domain a domain-pure task draws from, None for a mixed task."""
+    support: np.ndarray
+    query: np.ndarray
+    pure_domain: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple(self.support))
-        object.__setattr__(self, "query", tuple(self.query))
-        if len(self.support) != len(self.query):
-            raise MetaError(f"|support|={len(self.support)} != |query|={len(self.query)}")
-        if self.pure_domain is not None:
-            doms = {w.domain.id for w in self.support + self.query if w.domain}
-            if doms != {self.pure_domain.id}:
-                raise MetaError(f"pure task mixes domains {sorted(doms)}")
-
-    @property
-    def k(self) -> int:
-        return len(self.support)
-
-    def support_values(self) -> np.ndarray:
-        return np.stack([w.values for w in self.support])
-
-    def query_values(self) -> np.ndarray:
-        return np.stack([w.values for w in self.query])
+        object.__setattr__(self, "support", np.asarray(self.support, dtype=np.int64))
+        object.__setattr__(self, "query", np.asarray(self.query, dtype=np.int64))
+        if self.support.size != self.query.size:
+            raise MetaError(f"|support|={self.support.size} != |query|={self.query.size}")
 
 
 @dataclass(frozen=True)
@@ -100,10 +89,6 @@ TaskSource = Callable[[Dataset, np.ndarray, MetaHyper, np.random.Generator],
                       list[MetaTask]]
 
 
-def _take(ds: Dataset, idx: np.ndarray) -> tuple[Window, ...]:
-    return tuple(ds.window(int(i)) for i in idx)
-
-
 def generate_tasks(ds: Dataset, pool: np.ndarray, hyper: MetaHyper,
                    rng: np.random.Generator) -> list[MetaTask]:
     """Sample M tasks from the pretraining pool (index array into ds).
@@ -127,16 +112,11 @@ def generate_tasks(ds: Dataset, pool: np.ndarray, hyper: MetaHyper,
         if j < hyper.M_dom:
             d = int(qualifying[rng.integers(qualifying.size)])
             cand = pool[domains == d]
-            pick = rng.choice(cand, size=k2, replace=False)
-            pure: Optional[DomainId] = ds.domain_id(d)
         else:
-            pick = rng.choice(pool, size=k2, replace=False)
-            pure = None
-        tasks.append(MetaTask(support=_take(ds, pick[:hyper.K]),
-                              query=_take(ds, pick[hyper.K:]),
-                              pure_domain=pure,
-                              support_idx=pick[:hyper.K].copy(),
-                              query_idx=pick[hyper.K:].copy()))
+            d = None
+            cand = pool
+        pick = rng.choice(cand, size=k2, replace=False)
+        tasks.append(MetaTask(pick[:hyper.K], pick[hyper.K:], d))
     return tasks
 
 
@@ -159,8 +139,8 @@ def inner_adapt(objective: PretextObjective, params: ParamVector, support: np.nd
     return theta
 
 
-def _adapt_and_query(objective: PretextObjective, params: ParamVector, task: MetaTask,
-                     hyper: MetaHyper, rng: np.random.Generator,
+def _adapt_and_query(objective: PretextObjective, params: ParamVector, ds: Dataset,
+                     task: MetaTask, hyper: MetaHyper, rng: np.random.Generator,
                      support_sink: Optional[list],
                      enc_cfg: Optional[EncoderConfig]) -> tuple[ParamVector, PretextBatchLoss]:
     """Adapt a copy on the task's support set and score the query set
@@ -170,9 +150,9 @@ def _adapt_and_query(objective: PretextObjective, params: ParamVector, task: Met
     r_query = rng.spawn(1)[0]
     theta = params
     if hyper.inner_steps > 0:
-        theta = inner_adapt(objective, params, task.support_values(), hyper.alpha,
+        theta = inner_adapt(objective, params, ds.values[task.support], hyper.alpha,
                             hyper.inner_steps, rng.spawn(1)[0], support_sink, enc_cfg)
-    return theta, eval_ssl(objective, theta, task.query_values(), r_query, enc_cfg)
+    return theta, eval_ssl(objective, theta, ds.values[task.query], r_query, enc_cfg)
 
 
 @dataclass
@@ -189,24 +169,36 @@ class EpochDiag:
         return float(np.mean(self.support_losses)) if self.support_losses else None
 
 
-def meta_epoch(objective: PretextObjective, params: ParamVector,
+def meta_epoch(objective: PretextObjective, params: ParamVector, ds: Dataset,
                tasks: Sequence[MetaTask], hyper: MetaHyper,
                rng: np.random.Generator, opt_state: Optional[AdamState] = None,
                enc_cfg: Optional[EncoderConfig] = None
                ) -> tuple[ParamVector, EpochDiag, Optional[AdamState]]:
-    """One first-order meta update.
+    """One first-order meta update over tasks drawn from ds.
 
     Per task: adapt a copy on the support set, take the gradient of the
     adapted copy's query loss, and accumulate. The summed gradient then
     drives one outer step (Adam by default, threading opt_state; plain
-    SGD when hyper.outer == "sgd").
+    SGD when hyper.outer == "sgd"). A task indexing outside ds, or a
+    domain-pure task whose windows span more than its one domain, is
+    rejected before any work.
     """
     if not tasks:
         raise MetaError("meta_epoch needs at least one task")
+    for task in tasks:
+        idx = np.concatenate([task.support, task.query])
+        if idx.size and (idx.min() < 0 or idx.max() >= ds.n_windows):
+            raise MetaError(f"task references windows outside the dataset "
+                            f"of {ds.n_windows}")
+        if task.pure_domain is not None:
+            doms = set(ds.domains[idx].tolist())
+            if doms != {task.pure_domain}:
+                raise MetaError(f"pure task of domain {task.pure_domain} mixes "
+                                f"domains {sorted(doms)}")
     diag = EpochDiag()
     total: Optional[ParamVector] = None
     for task in tasks:
-        theta_i, out = _adapt_and_query(objective, params, task, hyper, rng,
+        theta_i, out = _adapt_and_query(objective, params, ds, task, hyper, rng,
                                         diag.support_losses, enc_cfg)
         g = grad_of(out.loss, theta_i)
         diag.query_losses.append(out.loss.item())
@@ -281,7 +273,8 @@ def meta_validation_loss(objective: PretextObjective, params: ParamVector,
     if vh is None:
         return None
     tasks = generate_tasks(ds, val_pool, vh, rng)
-    losses = [_adapt_and_query(objective, params, task, vh, rng, None, enc_cfg)[1].loss.item()
+    losses = [_adapt_and_query(objective, params, ds, task, vh, rng, None,
+                               enc_cfg)[1].loss.item()
               for task in tasks]
     return float(np.mean(losses))
 
@@ -307,8 +300,8 @@ def meta_pretrain(objective: PretextObjective, init_params: ParamVector,
     def run_epoch(params, r_task, r_train):
         nonlocal opt_state
         tasks = source(ds, pool, hyper, r_task)
-        params, diag, opt_state = meta_epoch(objective, params, tasks, hyper, r_train,
-                                             opt_state, enc_cfg)
+        params, diag, opt_state = meta_epoch(objective, params, ds, tasks, hyper,
+                                             r_train, opt_state, enc_cfg)
         return params, {"support_loss": diag.mean_support_loss,
                         "query_loss": diag.mean_query_loss}, diag.mean_query_loss
 

@@ -96,9 +96,6 @@ class ParamVector:
         c = np.float32(c)
         return self.map(lambda _, a: a * c)
 
-    def copy(self) -> "ParamVector":
-        return self.map(lambda _, a: a.copy())
-
     def zeros_like(self) -> "ParamVector":
         return self.map(lambda _, a: np.zeros_like(a))
 
@@ -117,11 +114,6 @@ class ParamVector:
     def merge_overrides(self, other: "ParamVector") -> "ParamVector":
         """Replace entries present in ``other``; order and names unchanged."""
         return ParamVector((n, other[n] if n in other else t) for n, t in self)
-
-    def allclose(self, other: "ParamVector", atol: float = 0.0, rtol: float = 0.0) -> bool:
-        self._check_compatible(other)
-        return all(np.allclose(a.data, b.data, atol=atol, rtol=rtol)
-                   for a, b in zip(self._tensors, other._tensors))
 
     def max_abs_diff(self, other: "ParamVector") -> float:
         self._check_compatible(other)

@@ -493,21 +493,17 @@ def layer_norm(x: ArrayLike, eps: float = 1e-5, *,
 # ---------------------------------------------------------------------------
 # convolution / pooling
 
-def conv1d(x: ArrayLike, w: ArrayLike, b: Optional[ArrayLike] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """1-d cross-correlation.
+def conv1d(x: ArrayLike, w: ArrayLike, stride: int = 1, padding: int = 0) -> Tensor:
+    """1-d cross-correlation without bias.
 
-    x: [N, C, T] (or [C, T], treated as a batch of one and squeezed back),
-    w: [F, C, K], b: [F] optional. Output [N, F, T_out] with
+    x: [N, C, T], w: [F, C, K]. Output [N, F, T_out] with
     T_out = (T + 2*padding - K) // stride + 1.
     """
     x = as_tensor(x)
     w = as_tensor(w)
-    squeeze = x.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 3 or w.ndim != 3:
+    if x.ndim != 3 or w.ndim != 3:
         raise ShapeError(f"conv1d expects x [N,C,T] and w [F,C,K], got {x.shape}, {w.shape}")
-    n, c, t = xd.shape
+    n, c, t = x.shape
     f, cw, k = w.shape
     if c != cw:
         raise ShapeError(f"conv1d channel mismatch: input has {c}, kernel expects {cw}")
@@ -523,7 +519,7 @@ def conv1d(x: ArrayLike, w: ArrayLike, b: Optional[ArrayLike] = None,
     # which is far faster than gathering the [N, T_out, C, K] window view
     # in one go once C is more than a few channels.
     xpt = np.zeros((n, t_pad, c), dtype=np.float32)
-    xpt[:, padding:padding + t, :] = xd.transpose(0, 2, 1)
+    xpt[:, padding:padding + t, :] = x.data.transpose(0, 2, 1)
     cols4 = np.empty((n, t_out, c, k), dtype=np.float32)
     for kk in range(k):
         cols4[:, :, :, kk] = xpt[:, kk:kk + stride * t_out:stride, :]
@@ -531,18 +527,7 @@ def conv1d(x: ArrayLike, w: ArrayLike, b: Optional[ArrayLike] = None,
     wmat = w.data.reshape(f, c * k)
     out = (cols @ wmat.T).reshape(n, t_out, f).transpose(0, 2, 1)
 
-    parents = [x, w]
-    bt = None
-    if b is not None:
-        bt = as_tensor(b)
-        if bt.shape != (f,):
-            raise ShapeError(f"conv1d bias shape {bt.shape} != ({f},)")
-        out = out + bt.data[None, :, None]
-        parents.append(bt)
-
     def vjp(g):
-        if squeeze:
-            g = g[None]
         g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * t_out, f)
         dw = (g2.T @ cols).reshape(f, c, k)
         dx = None
@@ -554,14 +539,9 @@ def conv1d(x: ArrayLike, w: ArrayLike, b: Optional[ArrayLike] = None,
             for kk in range(k):
                 dxp[:, :, kk:kk + stride * t_out:stride] += dcols[:, :, kk, :]
             dx = dxp[:, :, padding:padding + t] if padding else dxp
-            if squeeze:
-                dx = dx[0]
-        grads = [dx, dw]
-        if bt is not None:
-            grads.append(g.sum(axis=(0, 2)))
-        return tuple(grads)
+        return dx, dw
 
-    return _result("conv1d", out[0] if squeeze else out, parents, vjp)
+    return _result("conv1d", out, [x, w], vjp)
 
 
 def max_pool1d(x: ArrayLike, kernel: int, stride: Optional[int] = None) -> Tensor:

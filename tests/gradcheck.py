@@ -128,12 +128,10 @@ def primitive_cases(rng):
     add_case("log_softmax", lambda x: scalarize(T.log_softmax(x, axis=-1)),
              [leaf(rng, 3, 4)])
     add_case("layer_norm", lambda x: scalarize(T.layer_norm(x)), [leaf(rng, 3, 8)])
-    add_case("conv1d", lambda x, w, b: scalarize(T.conv1d(x, w, b, stride=2, padding=1)),
-             [leaf(rng, 2, 3, 8), leaf(rng, 4, 3, 3), leaf(rng, 4)])
+    add_case("conv1d", lambda x, w: scalarize(T.conv1d(x, w, stride=2, padding=1)),
+             [leaf(rng, 2, 3, 8), leaf(rng, 4, 3, 3)])
     add_case("conv1d-nobias", lambda x, w: scalarize(T.conv1d(x, w)),
              [leaf(rng, 2, 2, 6), leaf(rng, 3, 2, 3)])
-    add_case("conv1d-2d-input", lambda x, w: scalarize(T.conv1d(x, w, padding=1)),
-             [leaf(rng, 3, 6), leaf(rng, 2, 3, 3)])
     # distinct values -> unique pool maxima, margin via linspace offsets
     mp = np.linspace(-1.0, 1.0, 2 * 3 * 8, dtype=np.float32).reshape(2, 3, 8)
     mp = mp + 0.01 * rng.standard_normal((2, 3, 8)).astype(np.float32)
@@ -179,20 +177,19 @@ def random_net_cases(rng):
 
     def case_conv():
         w = leaf(rng, 4, 3, 3)
-        b = leaf(rng, 4)
         p = leaf(rng, 4, 2)
         x = rng.uniform(-1, 1, size=(2, 3, 10)).astype(np.float32)
         tgt = rng.integers(0, 2, size=(2, 2)).astype(np.float32)
 
-        def f(w, b, p):
-            h = T.conv1d(x, w, b, stride=1, padding=1)
+        def f(w, p):
+            h = T.conv1d(x, w, stride=1, padding=1)
             h = T.layer_norm(h)
             h = T.tanh(h)
             h = T.max_pool1d(h, kernel=2, stride=2)
             e = T.global_mean_pool(h)
             logits = T.matmul(e, p)
             return T.mean(T.binary_cross_entropy_with_logits(logits, tgt))
-        return "conv-ln-pool-bce", f, [w, b, p]
+        return "conv-ln-pool-bce", f, [w, p]
 
     def case_embed():
         a = leaf(rng, 3, 4, lo=0.4, hi=1.2)

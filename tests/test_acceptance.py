@@ -107,15 +107,15 @@ def test_task_sampler_invariants_randomized():
         pure = [t for t in tasks if t.pure_domain is not None]
         assert len(pure) == hyper.M_dom
         for t, t2 in zip(tasks, again):
-            s, q = t.support_idx, t.query_idx
+            s, q = t.support, t.query
             assert s.size == hyper.K and q.size == hyper.K
             assert np.intersect1d(s, q).size == 0
             assert np.all(np.isin(s, pool)) and np.all(np.isin(q, pool))
             if t.pure_domain is not None:
                 assert np.all(ds.domains[np.concatenate([s, q])]
-                              == t.pure_domain.id)
-            assert np.array_equal(s, t2.support_idx)
-            assert np.array_equal(q, t2.query_idx)
+                              == t.pure_domain)
+            assert np.array_equal(s, t2.support)
+            assert np.array_equal(q, t2.query)
 
 
 # -- 4 ----------------------------------------------------------------------
@@ -129,9 +129,7 @@ def test_zero_inner_step_meta_equals_plain_training():
 
     def batch_as_task(dset, p, hyper, rng):
         perm = epoch_order(p, rng)
-        wins = [dset.window(int(i)) for i in perm]
-        return [MetaTask(support=wins, query=wins,
-                         support_idx=perm, query_idx=perm)]
+        return [MetaTask(perm, perm)]
 
     mh = MetaHyper(M=1, M_dom=0, K=12, inner_steps=0, epochs=3,
                    outer="adam", beta=1e-3)
@@ -155,18 +153,17 @@ def test_one_step_meta_update_composition():
                                 np.random.default_rng(1))
     hyper = MetaHyper(M=1, M_dom=0, K=8, inner_steps=1, alpha=5e-3, beta=1e-3,
                       outer="sgd", epochs=1)
-    task = MetaTask(support=[ds.window(i) for i in range(8)],
-                    query=[ds.window(i) for i in range(8, 16)])
+    task = MetaTask(np.arange(8), np.arange(8, 16))
 
-    stepped, diag, _state = meta_epoch(obj, params, [task], hyper,
+    stepped, diag, _state = meta_epoch(obj, params, ds, [task], hyper,
                                        np.random.default_rng(42))
 
     r = np.random.default_rng(42)
     r_query = r.spawn(1)[0]
     r_inner = r.spawn(1)[0]
-    s_out = eval_ssl(obj, params, task.support_values(), r_inner.spawn(1)[0])
+    s_out = eval_ssl(obj, params, ds.values[task.support], r_inner.spawn(1)[0])
     adapted = sgd_step(params, grad_of(s_out.loss, params), hyper.alpha)
-    q_out = eval_ssl(obj, adapted, task.query_values(), r_query)
+    q_out = eval_ssl(obj, adapted, ds.values[task.query], r_query)
     want = sgd_step(params, grad_of(q_out.loss, adapted), hyper.beta)
     assert stepped.max_abs_diff(want) < 1e-6
     assert diag.query_losses == [q_out.loss.item()]

@@ -154,6 +154,9 @@ def test_bad_inputs_exit_2(workdir, tmp_path, capsys):
     bad.write_text(json.dumps({"sweep": {"seeds": None}}))
     assert main(["sweep", "--plan", str(bad)]) == 2
     assert "bad value for sweep.seeds" in capsys.readouterr().err
+    bad.write_text(json.dumps({"data": {"path": 3}}))
+    assert main(["sweep", "--plan", str(bad)]) == 2
+    assert "error: data.path must be a string" in capsys.readouterr().err
     assert main(["adapt", "--model", str(tmp_path / "missing.adp2"),
                  "--data", str(workdir / "data.ads"),
                  "--split", str(workdir / "split.json"),

@@ -27,10 +27,10 @@ def test_windowize_count_and_content():
     series = np.arange(2 * 700, dtype=np.float32).reshape(2, 700)
     ws = windowize(series, window=256, overlap=128)
     # step 128: (700 - 256) // 128 + 1
-    assert len(ws) == 4
-    np.testing.assert_array_equal(ws[0].values, series[:, :256])
-    np.testing.assert_array_equal(ws[1].values, series[:, 128:384])
-    np.testing.assert_array_equal(ws[3].values, series[:, 384:640])
+    assert ws.shape == (4, 2, 256) and ws.dtype == np.float32
+    np.testing.assert_array_equal(ws[0], series[:, :256])
+    np.testing.assert_array_equal(ws[1], series[:, 128:384])
+    np.testing.assert_array_equal(ws[3], series[:, 384:640])
 
 
 def test_windowize_no_overlap():

@@ -107,6 +107,10 @@ def test_mode_shot_seed_validation():
                 {"pretext": {"encoder": {"blocks": 3, "embedding_dim": 8}}}):
         with pytest.raises(PlanError, match="bad value"):
             load_plan(bad)
+    # a non-string data path fails at parse time, before it reaches plan.raw
+    for path in (3, ["a"], {"x": 1}):
+        with pytest.raises(PlanError, match="data.path must be a string"):
+            load_plan({"data": {"path": path}})
 
 
 def test_preset_merging_and_override():

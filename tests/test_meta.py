@@ -54,17 +54,17 @@ def check_task_invariants(tasks, hyper, ds, pool):
     assert len(pure) == hyper.M_dom
     pool_set = set(np.asarray(pool).tolist())
     for i, task in enumerate(tasks):
-        assert task.k == hyper.K
+        assert len(task.support) == hyper.K
         assert len(task.query) == hyper.K
-        s = set(task.support_idx.tolist())
-        q = set(task.query_idx.tolist())
+        s = set(task.support.tolist())
+        q = set(task.query.tolist())
         assert len(s) == hyper.K and len(q) == hyper.K   # no repeats
         assert not (s & q)                                # disjoint
         assert s <= pool_set and q <= pool_set
         if i < hyper.M_dom:
-            doms = set(ds.domains[task.support_idx].tolist()
-                       + ds.domains[task.query_idx].tolist())
-            assert doms == {task.pure_domain.id}
+            doms = set(ds.domains[task.support].tolist()
+                       + ds.domains[task.query].tolist())
+            assert doms == {task.pure_domain}
         else:
             assert task.pure_domain is None
 
@@ -94,8 +94,8 @@ def test_task_generation_deterministic(ds):
     a = generate_tasks(ds, pool, hyper, np.random.default_rng(99))
     b = generate_tasks(ds, pool, hyper, np.random.default_rng(99))
     for ta, tb in zip(a, b):
-        assert np.array_equal(ta.support_idx, tb.support_idx)
-        assert np.array_equal(ta.query_idx, tb.query_idx)
+        assert np.array_equal(ta.support, tb.support)
+        assert np.array_equal(ta.query, tb.query)
         assert ta.pure_domain == tb.pure_domain
 
 
@@ -122,10 +122,23 @@ def test_no_qualifying_domain_rejected(ds):
     assert len(tasks) == 4
 
 
-def test_meta_task_rejects_mixed_pure(ds):
-    wins = [ds.window(i) for i in (0, 1, 45, 46)]   # domains 0 and 1
+def test_meta_task_rejects_mixed_pure(ds, obj):
+    task = MetaTask([0, 1], [45, 46], pure_domain=0)    # domains 0 and 1
     with pytest.raises(MetaError, match="mixes"):
-        MetaTask(support=wins[:2], query=wins[2:], pure_domain=ds.domain_id(0))
+        meta_epoch(obj, small_params(obj), ds, [task], MetaHyper(M=1, M_dom=1, K=2),
+                   np.random.default_rng(0))
+
+
+def test_meta_epoch_rejects_task_outside_dataset(ds, obj):
+    for bad in ([-1, 0], [0, ds.n_windows]):
+        with pytest.raises(MetaError, match="outside the dataset"):
+            meta_epoch(obj, small_params(obj), ds, [MetaTask(bad, [1, 2])],
+                       MetaHyper(M=1, M_dom=0, K=2), np.random.default_rng(0))
+
+
+def test_meta_task_rejects_unequal_sets():
+    with pytest.raises(MetaError, match="support"):
+        MetaTask([0, 1, 2], [3, 4])
 
 
 def test_hyper_validation():
@@ -147,7 +160,7 @@ def test_inner_zero_steps_is_identity(ds, obj):
     params = small_params(obj)
     sup = ds.values[:6]
     out = inner_adapt(obj, params, sup, 5e-3, 0, np.random.default_rng(0))
-    assert out.allclose(params, atol=0.0)
+    assert out.max_abs_diff(params) == 0.0
 
 
 def test_inner_one_step_equals_manual_composition(ds, obj):
@@ -182,14 +195,14 @@ def test_meta_step_unroll_oracle(ds, obj):
                       inner_steps=1, outer="sgd")
     tasks = make_tasks(ds, hyper)
     params = small_params(obj)
-    got, diag, _ = meta_epoch(obj, params, tasks, hyper, np.random.default_rng(77))
+    got, diag, _ = meta_epoch(obj, params, ds, tasks, hyper, np.random.default_rng(77))
 
     r = np.random.default_rng(77)
     r_query = r.spawn(1)[0]
     r_inner = r.spawn(1)[0]
-    s_out = eval_ssl(obj, params, tasks[0].support_values(), r_inner.spawn(1)[0])
+    s_out = eval_ssl(obj, params, ds.values[tasks[0].support], r_inner.spawn(1)[0])
     theta_1 = sgd_step(params, grad_of(s_out.loss, params), hyper.alpha)
-    q_out = eval_ssl(obj, theta_1, tasks[0].query_values(), r_query)
+    q_out = eval_ssl(obj, theta_1, ds.values[tasks[0].query], r_query)
     want = sgd_step(params, grad_of(q_out.loss, theta_1), hyper.beta)
 
     assert got.max_abs_diff(want) < 1e-6
@@ -204,16 +217,16 @@ def test_meta_epoch_is_first_order_maml_over_many_tasks(ds, obj):
                       inner_steps=1, outer="adam")
     tasks = make_tasks(ds, hyper, seed=12)
     params = small_params(obj, seed=4)
-    got, diag, state = meta_epoch(obj, params, tasks, hyper, np.random.default_rng(3))
+    got, diag, state = meta_epoch(obj, params, ds, tasks, hyper, np.random.default_rng(3))
 
     r = np.random.default_rng(3)
     total, query_losses = None, []
     for task in tasks:
         r_query = r.spawn(1)[0]
         r_inner = r.spawn(1)[0]
-        s_out = eval_ssl(obj, params, task.support_values(), r_inner.spawn(1)[0])
+        s_out = eval_ssl(obj, params, ds.values[task.support], r_inner.spawn(1)[0])
         adapted = sgd_step(params, grad_of(s_out.loss, params), hyper.alpha)
-        q_out = eval_ssl(obj, adapted, task.query_values(), r_query)
+        q_out = eval_ssl(obj, adapted, ds.values[task.query], r_query)
         g = grad_of(q_out.loss, adapted)
         total = g if total is None else total.add(g)
         query_losses.append(q_out.loss.item())
@@ -237,12 +250,12 @@ def test_meta_validation_loss_is_mean_adapted_query_loss(ds, obj):
     tasks = generate_tasks(ds, val_pool, MetaHyper(M=3, M_dom=0, K=6), r)
     losses = []
     for task in tasks:
-        assert task.pure_domain is None and task.k == 6
+        assert task.pure_domain is None and len(task.support) == 6
         r_query = r.spawn(1)[0]
         r_inner = r.spawn(1)[0]
-        adapted = inner_adapt(obj, params, task.support_values(), hyper.alpha, 1,
+        adapted = inner_adapt(obj, params, ds.values[task.support], hyper.alpha, 1,
                               r_inner)
-        losses.append(eval_ssl(obj, adapted, task.query_values(), r_query).loss.item())
+        losses.append(eval_ssl(obj, adapted, ds.values[task.query], r_query).loss.item())
     assert got == float(np.mean(losses))
 
 
@@ -252,8 +265,8 @@ def test_meta_epoch_duplicate_task_doubles_gradient(ds, obj):
     hyper1 = MetaHyper(M=1, M_dom=0, K=6, inner_steps=0, outer="sgd", beta=1e-3)
     tasks = make_tasks(ds, hyper1)
     params = small_params(obj)
-    one, _, _ = meta_epoch(obj, params, tasks, hyper1, np.random.default_rng(5))
-    two, _, _ = meta_epoch(obj, params, tasks * 2,
+    one, _, _ = meta_epoch(obj, params, ds, tasks, hyper1, np.random.default_rng(5))
+    two, _, _ = meta_epoch(obj, params, ds, tasks * 2,
                            MetaHyper(M=2, M_dom=0, K=6, inner_steps=0,
                                      outer="sgd", beta=1e-3),
                            np.random.default_rng(5))
@@ -264,7 +277,7 @@ def test_meta_epoch_duplicate_task_doubles_gradient(ds, obj):
     g_total = None
     for _ in range(2):
         rq = r.spawn(1)[0]
-        out = eval_ssl(obj, params, tasks[0].query_values(), rq)
+        out = eval_ssl(obj, params, ds.values[tasks[0].query], rq)
         g = grad_of(out.loss, params)
         g_total = g if g_total is None else g_total.add(g)
     want = sgd_step(params, g_total, 1e-3)
@@ -276,7 +289,7 @@ def test_meta_epoch_does_not_mutate_params(ds, obj):
     hyper = MetaHyper(M=2, M_dom=1, K=4)
     params = small_params(obj)
     before = {n: t.data.tobytes() for n, t in params}
-    meta_epoch(obj, params, make_tasks(ds, hyper), hyper, np.random.default_rng(0))
+    meta_epoch(obj, params, ds, make_tasks(ds, hyper), hyper, np.random.default_rng(0))
     assert {n: t.data.tobytes() for n, t in params} == before
 
 
@@ -284,14 +297,14 @@ def test_meta_epoch_deterministic(ds, obj):
     hyper = MetaHyper(M=3, M_dom=2, K=4)
     tasks = make_tasks(ds, hyper)
     params = small_params(obj)
-    a, _, _ = meta_epoch(obj, params, tasks, hyper, np.random.default_rng(21))
-    b, _, _ = meta_epoch(obj, params, tasks, hyper, np.random.default_rng(21))
+    a, _, _ = meta_epoch(obj, params, ds, tasks, hyper, np.random.default_rng(21))
+    b, _, _ = meta_epoch(obj, params, ds, tasks, hyper, np.random.default_rng(21))
     assert a.max_abs_diff(b) == 0.0
 
 
 def test_meta_epoch_empty_tasks(ds, obj):
     with pytest.raises(MetaError):
-        meta_epoch(obj, small_params(obj), [], MetaHyper(),
+        meta_epoch(obj, small_params(obj), ds, [], MetaHyper(),
                    np.random.default_rng(0))
 
 
@@ -320,9 +333,7 @@ def test_zero_inner_steps_reduces_to_plain_pretraining(ds, obj):
 
     def batch_as_task(dset, p, hyper, rng):
         perm = epoch_order(p, rng)
-        wins = [dset.window(int(i)) for i in perm]
-        return [MetaTask(support=wins, query=wins,
-                         support_idx=perm, query_idx=perm)]
+        return [MetaTask(perm, perm)]
 
     params = small_params(obj)
     m_best, m_log = meta_pretrain(obj, params, ds, pool, np.arange(0),

@@ -72,7 +72,7 @@ def test_layer_norm_standardizes_each_sample(rng):
     np.testing.assert_allclose(flat.std(axis=1), np.ones(4), atol=1e-3)
 
 
-def conv1d_loop_oracle(x, w, b, stride, padding):
+def conv1d_loop_oracle(x, w, stride, padding):
     """Direct nested-loop cross-correlation in float64."""
     n, c, t = x.shape
     f, _, k = w.shape
@@ -84,28 +84,15 @@ def conv1d_loop_oracle(x, w, b, stride, padding):
             for o in range(t_out):
                 patch = xp[i, :, o * stride:o * stride + k]
                 out[i, j, o] = (patch * w[j].astype(np.float64)).sum()
-            if b is not None:
-                out[i, j] += b[j]
     return out
 
 
-@pytest.mark.parametrize("stride,padding,bias", [(1, 0, True), (2, 1, True),
-                                                 (3, 2, False)])
-def test_conv1d_matches_loop_oracle(rng, stride, padding, bias):
+@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (3, 2)])
+def test_conv1d_matches_loop_oracle(rng, stride, padding):
     x = rng.standard_normal((2, 3, 11)).astype(np.float32)
     w = rng.standard_normal((4, 3, 3)).astype(np.float32)
-    b = rng.standard_normal(4).astype(np.float32) if bias else None
-    got = T.conv1d(x, w, b, stride=stride, padding=padding).data
-    want = conv1d_loop_oracle(x, w, b, stride, padding)
-    assert got.shape == want.shape
-    np.testing.assert_allclose(got, want, atol=1e-4)
-
-
-def test_conv1d_2d_input_squeezes_batch(rng):
-    x = rng.standard_normal((3, 9)).astype(np.float32)
-    w = rng.standard_normal((2, 3, 3)).astype(np.float32)
-    got = T.conv1d(x, w, stride=2).data
-    want = conv1d_loop_oracle(x[None], w, None, 2, 0)[0]
+    got = T.conv1d(x, w, stride=stride, padding=padding).data
+    want = conv1d_loop_oracle(x, w, stride, padding)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, atol=1e-4)
 
