@@ -23,7 +23,6 @@ from .optim import adam_step
 from .params import ParamVector, grad_of
 from .pretext import (PretextObjective, eval_ssl, min_batch, objective_from_config,
                       objective_kind, objective_to_config)
-from .tensor import Tensor
 
 
 class AdaptError(ValueError):
@@ -105,7 +104,8 @@ def pretext_replay(objective: PretextObjective, params: ParamVector,
     step_losses: list[float] = []
     theta = inner_adapt(objective, params, shot_values, cfg.lr, cfg.steps, rng,
                         loss_sink=step_losses, enc_cfg=enc_cfg)
-    final = eval_ssl(objective, theta, shot_values, rng.spawn(1)[0], enc_cfg).loss.item()
+    final = eval_ssl(objective, theta.no_grad(), shot_values, rng.spawn(1)[0],
+                     enc_cfg).loss.item()
     before = step_losses[0] if step_losses else final
     return theta, ReplayLog(loss_before=before, loss_after=final,
                             step_losses=step_losses)
@@ -152,7 +152,7 @@ def finetune(params: ParamVector, shot_values: np.ndarray, shot_labels: np.ndarr
     opt_state = None
     frozen_embedding = None
     if cfg.protocol == LINEAR:
-        frozen_embedding = Tensor(encode(bundle, shot_values, enc_cfg).data)
+        frozen_embedding = encode(bundle.no_grad(), shot_values, enc_cfg)
 
     for _ in range(cfg.epochs):
         emb = frozen_embedding if frozen_embedding is not None \

@@ -374,8 +374,8 @@ def plain_pretrain(objective: PretextObjective, init_params: ParamVector,
         if val_pool.size < min_batch(objective):
             return None
         vbatch = epoch_order(val_pool, r_val)[:hyper.batch_size]
-        return eval_ssl(objective, params, ds.values[vbatch], r_val.spawn(1)[0],
-                        enc_cfg).loss.item()
+        return eval_ssl(objective, params.no_grad(), ds.values[vbatch],
+                        r_val.spawn(1)[0], enc_cfg).loss.item()
 
     return train_epochs(init_params, hyper.epochs, rng, run_epoch, validate,
                         record_trajectory)
@@ -636,6 +636,7 @@ def dump_embeddings(params: ParamVector, ds: Dataset, path,
     idx = np.arange(ds.n_windows) if indices is None \
         else np.asarray(indices, dtype=np.int64)
     dim = enc_cfg.embedding_dim
+    params = params.no_grad()
     with open(path, "w") as fh:
         fh.write("domain,label," + ",".join(f"e{i}" for i in range(dim)) + "\n")
         for start in range(0, idx.size, batch):

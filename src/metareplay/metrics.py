@@ -80,6 +80,7 @@ def predict(bundle: ParamVector, windows: np.ndarray,
     """Argmax class per window; ties break toward the lowest index."""
     windows = np.asarray(windows, dtype=np.float32)
     enc_cfg = enc_cfg or default_encoder_config()
+    bundle = bundle.no_grad()
     out = []
     for start in range(0, windows.shape[0], batch):
         logits = classify(bundle, encode(bundle, windows[start:start + batch], enc_cfg))

@@ -108,6 +108,11 @@ class ParamVector:
         return ParamVector((n, Tensor(np.zeros_like(t.data) if t.grad is None else t.grad))
                            for n, t in self)
 
+    def no_grad(self) -> "ParamVector":
+        """The same arrays as tensors that need no gradient. Ops on them
+        record no graph, so a forward-only pass keeps nothing for backward."""
+        return ParamVector((n, Tensor(t.data)) for n, t in self)
+
     def select(self, pred: Callable[[str], bool]) -> "ParamVector":
         return ParamVector((n, t) for n, t in self if pred(n))
 

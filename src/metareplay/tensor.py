@@ -10,6 +10,15 @@ by the one backward pass that runs on it: each node drops its saved
 buffers and its parents as soon as its vjp has run, and only leaves keep
 a gradient. Any op that produces a non-finite value raises immediately
 instead of letting NaN or Inf propagate.
+
+Graph structure is kept apart from tensor data. An op output's
+:class:`Node` links the nodes of its inputs and holds no array; the only
+arrays the graph keeps are the ones its vjps close over, and a vjp closes
+over exactly what it reads (an input's shape where that is all it needs).
+An op output's ``data`` therefore lives only as long as the caller holds
+the Tensor or a vjp reads it: an encoder block's conv output dies as soon
+as its layer-norm has run, and ``conv1d`` rebuilds its im2col matrix in
+backward instead of keeping it.
 """
 
 from __future__ import annotations
@@ -65,6 +74,30 @@ _keep_freed_heap()
 ArrayLike = Union["Tensor", np.ndarray, float, int, list]
 
 
+class Node:
+    """One recorded op: its name, its vjp and the graph nodes of its inputs.
+
+    A node holds no array itself. Its parents are other nodes, leaves
+    (which are Tensors, so that ``.grad`` lands on them) or ``_CONSTANT``
+    for an input that needs no gradient, in the order the vjp returns
+    their gradients.
+    """
+
+    __slots__ = ("requires_grad", "_parents", "_vjp", "_op")
+
+    def __init__(self, op: str, parents: tuple,
+                 vjp: Optional[Callable[[np.ndarray], tuple]]):
+        self.requires_grad = True
+        self._parents = parents
+        self._vjp = vjp
+        self._op = op
+
+
+# stands in for every input that needs no gradient, so the graph keeps none
+_CONSTANT = Node("constant", (), None)
+_CONSTANT.requires_grad = False
+
+
 class Tensor:
     """A float32 ndarray plus the bookkeeping for reverse-mode autodiff.
 
@@ -72,9 +105,15 @@ class Tensor:
     built with ``requires_grad=True``, not by an op) reachable from the
     loss; op outputs keep ``grad = None``. Data arrays are treated as
     immutable once wrapped; ops always allocate fresh outputs.
+
+    An op output that requires grad points at its graph :class:`Node`;
+    ``_parents``, ``_vjp`` and ``_op`` read through to it (a leaf has
+    none, no vjp and op ``"leaf"``). The graph does not point back at
+    the Tensor, so the Tensor and its ``data`` go when the caller drops
+    them, unless a vjp reads that array.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -83,9 +122,19 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._parents: tuple = ()
-        self._vjp: Optional[Callable[[np.ndarray], tuple]] = None
-        self._op: str = "leaf"
+        self._node: Optional[Node] = None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _vjp(self) -> Optional[Callable[[np.ndarray], tuple]]:
+        return None if self._node is None else self._node._vjp
+
+    @property
+    def _op(self) -> str:
+        return "leaf" if self._node is None else self._node._op
 
     @property
     def shape(self) -> tuple:
@@ -151,6 +200,14 @@ def _check_finite(op: str, arr: np.ndarray) -> None:
         raise NumericError(f"{op} produced non-finite values")
 
 
+def _graph_node(t: Tensor):
+    """What the graph links for input ``t``: its op node, the leaf itself,
+    or the shared constant."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else _CONSTANT
+
+
 def _result(op: str, data: np.ndarray, parents: Sequence[Tensor],
             vjp: Callable[[np.ndarray], tuple]) -> Tensor:
     data = np.asarray(data, dtype=np.float32)
@@ -158,9 +215,7 @@ def _result(op: str, data: np.ndarray, parents: Sequence[Tensor],
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
-        out._op = op
+        out._node = Node(op, tuple(_graph_node(p) for p in parents), vjp)
     return out
 
 
@@ -196,9 +251,10 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise GraphError("backward target is detached from any differentiable input")
 
-    topo: list[Tensor] = []
+    root = _graph_node(loss)
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -212,7 +268,7 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     while topo:
         node = topo.pop()
         g = grads.pop(id(node), None)
@@ -233,32 +289,39 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # elementwise arithmetic (numpy broadcasting rules)
 
+# Each vjp closes over the arrays or shapes it reads, never over an input
+# Tensor: the graph would otherwise keep that input's data alive.
+
 def add(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.shape, b.shape
     return _result("add", a.data + b.data, (a, b),
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                   lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.shape, b.shape
     return _result("sub", a.data - b.data, (a, b),
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+                   lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _result("mul", a.data * b.data, (a, b),
-                   lambda g: (_unbroadcast(g * b.data, a.shape),
-                              _unbroadcast(g * a.data, b.shape)))
+    ad, bd = a.data, b.data
+    return _result("mul", ad * bd, (a, b),
+                   lambda g: (_unbroadcast(g * bd, ad.shape),
+                              _unbroadcast(g * ad, bd.shape)))
 
 
 def div(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    ad, bd = a.data, b.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.data / b.data
+        out = ad / bd
     return _result("div", out, (a, b),
-                   lambda g: (_unbroadcast(g / b.data, a.shape),
-                              _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+                   lambda g: (_unbroadcast(g / bd, ad.shape),
+                              _unbroadcast(-g * ad / (bd * bd), bd.shape)))
 
 
 def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
@@ -267,8 +330,9 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    return _result("matmul", a.data @ b.data, (a, b),
-                   lambda g: (g @ b.data.T, a.data.T @ g))
+    ad, bd = a.data, b.data
+    return _result("matmul", ad @ bd, (a, b),
+                   lambda g: (g @ bd.T, ad.T @ g))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +340,9 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
 
 def reshape(x: ArrayLike, shape: Sequence[int]) -> Tensor:
     x = as_tensor(x)
-    shape = tuple(shape)
+    shape, in_shape = tuple(shape), x.shape
     return _result("reshape", x.data.reshape(shape), (x,),
-                   lambda g: (g.reshape(x.shape),))
+                   lambda g: (g.reshape(in_shape),))
 
 
 def transpose(x: ArrayLike, axes: Optional[Sequence[int]] = None) -> Tensor:
@@ -312,9 +376,10 @@ def slice_(x: ArrayLike, key) -> Tensor:
     """Basic indexing (ints / slices / tuples thereof) with gradient scatter."""
     x = as_tensor(x)
     data = x.data[key]
+    shape = x.shape
 
     def vjp(g):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(shape, dtype=np.float32)
         dx[key] = g
         return (dx,)
 
@@ -365,9 +430,10 @@ def exp(x: ArrayLike) -> Tensor:
 
 def log(x: ArrayLike) -> Tensor:
     x = as_tensor(x)
+    xd = x.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x.data)
-    return _result("log", out, (x,), lambda g: (g / x.data,))
+        out = np.log(xd)
+    return _result("log", out, (x,), lambda g: (g / xd,))
 
 
 def sqrt(x: ArrayLike) -> Tensor:
@@ -393,16 +459,18 @@ def _restore_axes(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarr
 
 def sum_(x: ArrayLike, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
+    shape = x.shape
     return _result("sum", x.data.sum(axis=axis, keepdims=keepdims), (x,),
-                   lambda g: (_restore_axes(g, x.shape, axis, keepdims),))
+                   lambda g: (_restore_axes(g, shape, axis, keepdims),))
 
 
 def mean(x: ArrayLike, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
+    shape = x.shape
     out = x.data.mean(axis=axis, keepdims=keepdims)
     count = x.size if axis is None else x.size // max(out.size, 1)
     return _result("mean", out, (x,),
-                   lambda g: (_restore_axes(g, x.shape, axis, keepdims) / count,))
+                   lambda g: (_restore_axes(g, shape, axis, keepdims) / count,))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +544,8 @@ def layer_norm(x: ArrayLike, eps: float = 1e-5, *,
                              f"over input {x.shape}")
     # the chain's expressions in its operand order; the in-place steps
     # only touch this op's own fresh array
-    out = y * gain.data
+    gd, g_shape, b_shape = gain.data, gain.shape, bias.shape
+    out = y * gd
     out += bias.data
     np.maximum(out, np.float32(0.0), out=out)
 
@@ -484,8 +553,8 @@ def layer_norm(x: ArrayLike, eps: float = 1e-5, *,
         # named for the reason given in relu()
         gate = (out > 0).astype(np.float32)
         g = g * gate
-        return (norm_vjp(g * gain.data), _unbroadcast(g * y, gain.shape),
-                _unbroadcast(g, bias.shape))
+        return (norm_vjp(g * gd), _unbroadcast(g * y, g_shape),
+                _unbroadcast(g, b_shape))
 
     return _result("layer_norm", out, (x, gain, bias), vjp)
 
@@ -493,11 +562,31 @@ def layer_norm(x: ArrayLike, eps: float = 1e-5, *,
 # ---------------------------------------------------------------------------
 # convolution / pooling
 
+def _im2col(xd: np.ndarray, k: int, stride: int, padding: int, t_out: int) -> np.ndarray:
+    """cols[(i, t), (ch, kk)] = xpad[i, ch, t * stride + kk] for x [N, C, T].
+
+    The padded input is laid out [N, T_pad, C] and copied one tap at a
+    time, which is far faster than gathering the [N, T_out, C, K] window
+    view in one go once C is more than a few channels.
+    """
+    n, c, t = xd.shape
+    xpt = np.empty((n, t + 2 * padding, c), dtype=np.float32)
+    xpt[:, :padding, :] = 0.0               # only the pad needs zeros
+    xpt[:, padding + t:, :] = 0.0
+    xpt[:, padding:padding + t, :] = xd.transpose(0, 2, 1)
+    cols4 = np.empty((n, t_out, c, k), dtype=np.float32)
+    for kk in range(k):
+        cols4[:, :, :, kk] = xpt[:, kk:kk + stride * t_out:stride, :]
+    return cols4.reshape(n * t_out, c * k)
+
+
 def conv1d(x: ArrayLike, w: ArrayLike, stride: int = 1, padding: int = 0) -> Tensor:
     """1-d cross-correlation without bias.
 
     x: [N, C, T], w: [F, C, K]. Output [N, F, T_out] with
-    T_out = (T + 2*padding - K) // stride + 1.
+    T_out = (T + 2*padding - K) // stride + 1. Backward keeps only the
+    input and the kernel arrays: the im2col matrix, K times the input's
+    size, is built again from the input when the weight gradient needs it.
     """
     x = as_tensor(x)
     w = as_tensor(w)
@@ -514,24 +603,16 @@ def conv1d(x: ArrayLike, w: ArrayLike, stride: int = 1, padding: int = 0) -> Ten
         raise ShapeError(f"conv1d length {t} + 2*{padding} shorter than kernel {k}")
     t_out = (t_pad - k) // stride + 1
 
-    # im2col: cols[(i, t), (ch, kk)] = xpad[i, ch, t * stride + kk]. The
-    # padded input is laid out [N, T_pad, C] and copied one tap at a time,
-    # which is far faster than gathering the [N, T_out, C, K] window view
-    # in one go once C is more than a few channels.
-    xpt = np.zeros((n, t_pad, c), dtype=np.float32)
-    xpt[:, padding:padding + t, :] = x.data.transpose(0, 2, 1)
-    cols4 = np.empty((n, t_out, c, k), dtype=np.float32)
-    for kk in range(k):
-        cols4[:, :, :, kk] = xpt[:, kk:kk + stride * t_out:stride, :]
-    cols = cols4.reshape(n * t_out, c * k)
+    xd, x_needs = x.data, x.requires_grad
     wmat = w.data.reshape(f, c * k)
-    out = (cols @ wmat.T).reshape(n, t_out, f).transpose(0, 2, 1)
+    out = (_im2col(xd, k, stride, padding, t_out) @ wmat.T
+           ).reshape(n, t_out, f).transpose(0, 2, 1)
 
     def vjp(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * t_out, f)
-        dw = (g2.T @ cols).reshape(f, c, k)
+        dw = (g2.T @ _im2col(xd, k, stride, padding, t_out)).reshape(f, c, k)
         dx = None
-        if x.requires_grad:                 # raw input windows need no dx
+        if x_needs:                         # raw input windows need no dx
             # one product per sample lays the taps out [N, C, K, T_out], so
             # the scatter below reads contiguous rows
             dcols = np.matmul(wmat.T, g).reshape(n, c, k, t_out)
@@ -560,7 +641,7 @@ def max_pool1d(x: ArrayLike, kernel: int, stride: Optional[int] = None) -> Tenso
     out = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
 
     def vjp(g):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros((n, c, t), dtype=np.float32)
         starts = np.arange(t_out) * stride
         pos = starts[None, None, :] + arg           # absolute time index of each max
         ni, ci = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")

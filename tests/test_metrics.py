@@ -146,6 +146,21 @@ def test_predict_small_batch_matches_big_batch():
                           predict(bundle, windows, batch=256))
 
 
+def test_predict_records_no_graph():
+    import tracemalloc
+    windows = np.random.default_rng(8).standard_normal((256, 3, 256)).astype(np.float32)
+    bundle = init_bundle("simclr", default_encoder_config(), 4,
+                         np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        predict(bundle, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 18 MiB; 55 MiB when the forward pass recorded a graph
+    assert peak < 28 << 20
+
+
 def test_evaluate_report_fields():
     rng = np.random.default_rng(7)
     windows = rng.uniform(-1, 1, size=(10, 3, 64)).astype(np.float32)

@@ -97,6 +97,28 @@ def test_conv1d_matches_loop_oracle(rng, stride, padding):
     np.testing.assert_allclose(got, want, atol=1e-4)
 
 
+@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (3, 2)])
+def test_conv1d_weight_grad_is_one_product_with_the_forward_im2col(rng, stride, padding):
+    # backward rebuilds the im2col matrix instead of keeping it; the weight
+    # gradient must still be the one product g2.T @ cols, bit for bit
+    x = rng.standard_normal((2, 3, 11)).astype(np.float32)
+    w = Tensor(rng.standard_normal((4, 3, 3)).astype(np.float32), requires_grad=True)
+    out = T.conv1d(x, w, stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    backward(T.sum_(T.mul(out, g)))
+    n, c, t = x.shape
+    f, _, k = w.shape
+    t_out = out.shape[2]
+    xpt = np.zeros((n, t + 2 * padding, c), dtype=np.float32)
+    xpt[:, padding:padding + t, :] = x.transpose(0, 2, 1)
+    cols4 = np.empty((n, t_out, c, k), dtype=np.float32)
+    for kk in range(k):
+        cols4[:, :, :, kk] = xpt[:, kk:kk + stride * t_out:stride, :]
+    cols = cols4.reshape(n * t_out, c * k)
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * t_out, f)
+    np.testing.assert_array_equal(w.grad, (g2.T @ cols).reshape(f, c, k))
+
+
 def test_conv1d_input_without_grad_gets_none_and_same_weight_grad(rng):
     # the first encoder block sees raw windows: its dx is skipped, and the
     # weight gradient is the one computed when dx is needed too
@@ -334,6 +356,52 @@ def test_backward_consumes_the_graph(rng):
         backward(T.sum_(T.mul(h, 2.0)))
 
 
+def _owner(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_conv1d_outputs_die_once_encode_returns(monkeypatch):
+    import weakref
+
+    from metareplay.models import EncoderConfig, encode, init_encoder_params
+    from metareplay.params import ParamVector, grad_of
+    cfg = EncoderConfig(blocks=((8, 5, 2), (16, 3, 2), (4, 3, 1)), embedding_dim=4)
+    x = np.random.default_rng(0).standard_normal((4, 3, 32)).astype(np.float32)
+    conv = T.conv1d
+
+    def grads(hold):
+        refs, held = [], []
+
+        def traced(*args, **kwargs):
+            out = conv(*args, **kwargs)
+            refs.append(weakref.ref(_owner(out.data)))
+            held.extend([out] if hold else [])
+            return out
+
+        monkeypatch.setattr(T, "conv1d", traced)
+        params = ParamVector(init_encoder_params(cfg, np.random.default_rng(1)))
+        loss = T.sum_(encode(params, x, cfg))
+        assert len(refs) == len(cfg.blocks) and loss.requires_grad
+        assert all((r() is None) != hold for r in refs)
+        return grad_of(loss, params)
+
+    freed, kept = grads(hold=False), grads(hold=True)
+    for (name, a), (_, b) in zip(freed, kept):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
+
+def test_backward_leaves_a_held_op_output_intact(rng):
+    x, w = leaf(rng, 2, 3, 9), leaf(rng, 4, 3, 3)
+    h = T.conv1d(x, w, padding=1)
+    before = h.data.copy()
+    ones, zeros = np.ones((4, 1), np.float32), np.zeros((4, 1), np.float32)
+    backward(T.sum_(T.layer_norm(h, epilogue=(ones, zeros))))
+    np.testing.assert_array_equal(h.data, before)
+    assert h.grad is None and x.grad is not None and w.grad is not None
+
+
 def _simclr_batch64():
     """Default SimCLR bundle, a batch of 64 256-sample windows and a
     training step that does not hold its loss across steps."""
@@ -369,6 +437,22 @@ def test_grad_of_frees_the_graph_while_the_loss_is_held():
         tracemalloc.stop()
     assert loss.requires_grad and len(grads) == len(params)
     assert alive < 1 << 20          # the parameter gradients are 0.13 MiB
+
+
+def test_simclr_graph_keeps_only_what_backward_reads():
+    import tracemalloc
+    params, loss_of, _step = _simclr_batch64()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = loss_of(params, 0)
+        alive = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    # 11.7 MiB; 26.8 MiB while the graph kept each block's conv output and
+    # im2col matrix
+    assert alive < 14 << 20
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
