@@ -27,10 +27,10 @@ def main():
         name = type(obj).__name__
         params = init_for_objective(obj, enc_cfg, ds.n_classes,
                                     np.random.default_rng(1))
-        out = eval_ssl(obj, params, batch, np.random.default_rng(2), enc_cfg)
+        loss = eval_ssl(obj, params, batch, np.random.default_rng(2), enc_cfg)
         again = eval_ssl(obj, params, batch, np.random.default_rng(2), enc_cfg)
-        print(f"{name:18s} loss {out.loss.item():.4f}  "
-              f"deterministic={out.loss.item() == again.loss.item()}")
+        print(f"{name:18s} loss {loss.item():.4f}  "
+              f"deterministic={loss.item() == again.item()}")
         print(f"{'':18s} minimum batch {min_batch(obj)}, "
               f"{params.n_values()} parameters")
 
@@ -43,10 +43,10 @@ def main():
         state = None
         first = last = None
         for _ in range(10):
-            out = eval_ssl(obj, params, batch, rng.spawn(1)[0], enc_cfg)
-            first = first if first is not None else out.loss.item()
-            last = out.loss.item()
-            grads = grad_of(out.loss, params)
+            loss = eval_ssl(obj, params, batch, rng.spawn(1)[0], enc_cfg)
+            first = first if first is not None else loss.item()
+            last = loss.item()
+            grads = grad_of(loss, params)
             params, state = adam_step(params, grads, state, lr=1e-3)
         print(f"  {type(obj).__name__:18s} {first:.4f} -> {last:.4f}")
 

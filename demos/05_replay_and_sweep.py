@@ -43,14 +43,15 @@ def main():
              "meta_only": "meta", "full": "meta"}
     print(f"\nmode        replay-loss            macro-F1   (target domain {target})")
     for mode in MODES:
-        bundle, plog = run_pipeline(mode, models[needs[mode]], dsn, split,
-                                    plan.replay_cfg, plan.finetune_cfg,
-                                    np.random.default_rng(5))
+        bundle, record = run_pipeline(mode, models[needs[mode]], dsn, split,
+                                      plan.replay_cfg, plan.finetune_cfg,
+                                      np.random.default_rng(5))
         rep = evaluate(bundle, dsn.values[split.target_test],
                        dsn.labels[split.target_test], ds.n_classes, 0,
                        plan.config_hash, plan.enc_cfg)
-        if plog.replay is not None:
-            rl = f"{plog.replay.loss_before:.3f} -> {plog.replay.loss_after:.3f}"
+        replay = record["replay"]
+        if replay is not None:
+            rl = f"{replay['loss_before']:.3f} -> {replay['loss_after']:.3f}"
         else:
             rl = "(none)       "
         print(f"{mode:11s} {rl:22s} {rep.macro_f1:.3f}")

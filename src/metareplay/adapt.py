@@ -5,12 +5,18 @@ fine-tuning shots (theta <- theta - lr * grad of the pretext loss on the
 shot set), nudging the encoder toward the new domain before any label is
 consulted. Fine-tuning then trains the classifier, either on frozen
 features (linear evaluation) or jointly with the encoder.
+
+Each stage returns its record as the plain dict it is written to JSON
+as: pretext_replay {"loss_before", "loss_after", "step_losses"},
+finetune {"losses", "accuracies"} (one entry per epoch), and
+run_pipeline {"mode", "protocol", "replay", "finetune"} holding the two
+(replay None when the mode does not replay).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -72,24 +78,14 @@ class FinetuneConfig:
         return 0.005 if self.protocol == LINEAR else 0.001
 
 
-@dataclass
-class ReplayLog:
-    loss_before: float
-    loss_after: float
-    step_losses: list[float]
-
-    def to_json_dict(self) -> dict:
-        return {"loss_before": self.loss_before, "loss_after": self.loss_after,
-                "step_losses": self.step_losses}
-
-
 def pretext_replay(objective: PretextObjective, params: ParamVector,
                    shot_values: np.ndarray, cfg: ReplayConfig,
                    rng: np.random.Generator,
                    enc_cfg: Optional[EncoderConfig] = None
-                   ) -> tuple[ParamVector, ReplayLog]:
+                   ) -> tuple[ParamVector, dict]:
     """cfg.steps full-batch pretext gradient steps on the shot windows,
     the same steps meta pre-training's inner loop takes (inner_adapt).
+    Returns the adapted parameters and the replay record.
 
     Takes raw window values only; labels never enter. One rng stream is
     spawned per loss evaluation, in step order, plus one for the closing
@@ -105,19 +101,10 @@ def pretext_replay(objective: PretextObjective, params: ParamVector,
     theta = inner_adapt(objective, params, shot_values, cfg.lr, cfg.steps, rng,
                         loss_sink=step_losses, enc_cfg=enc_cfg)
     final = eval_ssl(objective, theta.no_grad(), shot_values, rng.spawn(1)[0],
-                     enc_cfg).loss.item()
+                     enc_cfg).item()
     before = step_losses[0] if step_losses else final
-    return theta, ReplayLog(loss_before=before, loss_after=final,
-                            step_losses=step_losses)
-
-
-@dataclass
-class FinetuneLog:
-    losses: list[float] = field(default_factory=list)
-    accuracies: list[float] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {"losses": self.losses, "accuracies": self.accuracies}
+    return theta, {"loss_before": before, "loss_after": final,
+                   "step_losses": step_losses}
 
 
 def _trainable_prefixes(protocol: str) -> tuple[str, ...]:
@@ -128,9 +115,9 @@ def _trainable_prefixes(protocol: str) -> tuple[str, ...]:
 
 def finetune(params: ParamVector, shot_values: np.ndarray, shot_labels: np.ndarray,
              cfg: FinetuneConfig, enc_cfg: Optional[EncoderConfig] = None
-             ) -> tuple[ParamVector, FinetuneLog]:
+             ) -> tuple[ParamVector, dict]:
     """Train the classification head on the labeled shots with full-batch
-    Adam and cross-entropy.
+    Adam and cross-entropy; returns the bundle and the fine-tune record.
 
     Linear evaluation freezes everything but "clf." (frozen tensors are
     the same objects before and after); end-to-end also trains the
@@ -148,7 +135,7 @@ def finetune(params: ParamVector, shot_values: np.ndarray, shot_labels: np.ndarr
 
     bundle = params.map(lambda n, a: np.zeros_like(a) if n.startswith(CLF_PREFIX) else a)
     prefixes = _trainable_prefixes(cfg.protocol)
-    log = FinetuneLog()
+    log = {"losses": [], "accuracies": []}
     opt_state = None
     frozen_embedding = None
     if cfg.protocol == LINEAR:
@@ -163,8 +150,8 @@ def finetune(params: ParamVector, shot_values: np.ndarray, shot_labels: np.ndarr
         grads = grad_of(loss, trainable)
         stepped, opt_state = adam_step(trainable, grads, opt_state, lr=cfg.effective_lr)
         bundle = bundle.merge_overrides(stepped)
-        log.losses.append(loss.item())
-        log.accuracies.append(float((logits.data.argmax(axis=1) == shot_labels).mean()))
+        log["losses"].append(loss.item())
+        log["accuracies"].append(float((logits.data.argmax(axis=1) == shot_labels).mean()))
     return bundle, log
 
 
@@ -216,23 +203,11 @@ def load_pretrained(path) -> PretrainedModel:
                            n_classes=int(meta.get("n_classes", 0)))
 
 
-@dataclass
-class PipelineLog:
-    mode: str
-    replay: Optional[ReplayLog]
-    finetune: FinetuneLog
-    protocol: str
-
-    def to_json_dict(self) -> dict:
-        return {"mode": self.mode, "protocol": self.protocol,
-                "replay": self.replay.to_json_dict() if self.replay else None,
-                "finetune": self.finetune.to_json_dict()}
-
-
 def run_pipeline(mode: str, pretrained: PretrainedModel, ds, split,
                  replay_cfg: ReplayConfig, finetune_cfg: FinetuneConfig,
-                 rng: np.random.Generator) -> tuple[ParamVector, PipelineLog]:
-    """One ablation arm on one split.
+                 rng: np.random.Generator) -> tuple[ParamVector, dict]:
+    """One ablation arm on one split; returns the bundle and the pipeline
+    record.
 
     baseline: plain pre-training, fine-tune only. replay_only: plain
     pre-training + replay. meta_only: meta pre-training, fine-tune only.
@@ -260,5 +235,5 @@ def run_pipeline(mode: str, pretrained: PretrainedModel, ds, split,
                                             pretrained.enc_cfg)
     bundle, ft_log = finetune(params, shot_values, ds.labels[shots], finetune_cfg,
                               pretrained.enc_cfg)
-    return bundle, PipelineLog(mode=mode, replay=replay_log, finetune=ft_log,
-                               protocol=finetune_cfg.protocol)
+    return bundle, {"mode": mode, "protocol": finetune_cfg.protocol,
+                    "replay": replay_log, "finetune": ft_log}

@@ -85,13 +85,13 @@ def _adapt_and_report(args, model, mode: str, replay_cfg: ReplayConfig,
     split = SplitPlan.load_json(args.split)
     dsn = _normalized_for_split(ds, split)
     rng = np.random.default_rng(args.seed)
-    bundle, plog = run_pipeline(mode, model, dsn, split, replay_cfg, ft_cfg, rng)
+    bundle, record = run_pipeline(mode, model, dsn, split, replay_cfg, ft_cfg, rng)
     bundle.save(args.out)
     report = evaluate(bundle, dsn.values[split.target_test],
                       dsn.labels[split.target_test], ds.n_classes, args.seed,
                       enc_cfg=model.enc_cfg)
     with open(f"{args.out}.log.json", "w") as fh:
-        json.dump({**plog.to_json_dict(), "test": report.to_json_dict()}, fh, indent=1)
+        json.dump({**record, "test": report.to_json_dict()}, fh, indent=1)
     return report
 
 

@@ -358,12 +358,12 @@ def plain_pretrain(objective: PretextObjective, init_params: ParamVector,
             batch = perm[start:start + hyper.batch_size]
             if batch.size < min_batch(objective):
                 continue
-            out = eval_ssl(objective, params, ds.values[batch], r_train.spawn(1)[0],
-                           enc_cfg)
-            grads = grad_of(out.loss, params)
+            loss = eval_ssl(objective, params, ds.values[batch], r_train.spawn(1)[0],
+                            enc_cfg)
+            grads = grad_of(loss, params)
             params, opt_state = adam_step(params, grads, opt_state, lr=hyper.lr,
                                           weight_decay=hyper.weight_decay)
-            batch_losses.append(out.loss.item())
+            batch_losses.append(loss.item())
         if not batch_losses:
             raise PlanError(f"training pool of {np.asarray(train_pool).size} windows "
                             f"yields no usable batch")
@@ -375,7 +375,7 @@ def plain_pretrain(objective: PretextObjective, init_params: ParamVector,
             return None
         vbatch = epoch_order(val_pool, r_val)[:hyper.batch_size]
         return eval_ssl(objective, params.no_grad(), ds.values[vbatch],
-                        r_val.spawn(1)[0], enc_cfg).loss.item()
+                        r_val.spawn(1)[0], enc_cfg).item()
 
     return train_epochs(init_params, hyper.epochs, rng, run_epoch, validate,
                         record_trajectory)
@@ -451,14 +451,14 @@ def _run_cell(plan: ExperimentPlan, dsn: Dataset, ds: Dataset,
     try:
         split = make_split(ds, d, k, seed_of(plan, "cell", d, k, seed_i))
         rng = rng_for(plan.master_seed, "run", d, k, seed_i, mode)
-        bundle, plog = run_pipeline(mode, pretrained[_MODE_NEEDS[mode]], dsn, split,
-                                    plan.replay_cfg, plan.finetune_cfg, rng)
+        bundle, record = run_pipeline(mode, pretrained[_MODE_NEEDS[mode]], dsn,
+                                      split, plan.replay_cfg, plan.finetune_cfg, rng)
         report = evaluate(bundle, dsn.values[split.target_test],
                           dsn.labels[split.target_test], ds.n_classes, seed_i,
                           plan.config_hash, plan.enc_cfg)
         cell["report"] = report.to_json_dict()
-        cell["replay"] = plog.replay.to_json_dict() if plog.replay else None
-        cell["finetune"] = plog.finetune.to_json_dict()
+        cell["replay"] = record["replay"]
+        cell["finetune"] = record["finetune"]
     except Exception as e:                       # noqa: BLE001 - cell isolation
         cell["error"] = f"{type(e).__name__}: {e}"
     return cell
@@ -517,6 +517,11 @@ def summarize_cells(cells: list[dict], plan: ExperimentPlan,
                     n_domains: int) -> tuple[list[dict], dict]:
     """Seed means per (mode, shots, domain), then domain means per
     (mode, shots); grand averages are means of per-domain means."""
+    reported: dict[tuple, list[dict]] = {}
+    for c in cells:
+        if c["report"] is not None:
+            key = (c["mode"], c["shots"], c["domain"])
+            reported.setdefault(key, []).append(c["report"])
     per_domain = []
     grand: dict = {}
     for mode in plan.modes:
@@ -524,19 +529,15 @@ def summarize_cells(cells: list[dict], plan: ExperimentPlan,
         for k in plan.shots:
             domain_means = []
             for d in range(n_domains):
-                vals = [c["report"]["macro_f1"] for c in cells
-                        if c["mode"] == mode and c["shots"] == k
-                        and c["domain"] == d and c["report"] is not None]
-                if not vals:
+                reports = reported.get((mode, k, d))
+                if not reports:
                     continue
-                mean, std = aggregate(vals)
-                accs = [c["report"]["accuracy"] for c in cells
-                        if c["mode"] == mode and c["shots"] == k
-                        and c["domain"] == d and c["report"] is not None]
+                mean, std = aggregate([r["macro_f1"] for r in reports])
+                acc_mean = aggregate([r["accuracy"] for r in reports])[0]
                 per_domain.append({"mode": mode, "shots": k, "domain": d,
                                    "macro_f1_mean": mean, "macro_f1_std": std,
-                                   "accuracy_mean": aggregate(accs)[0],
-                                   "n_seeds": len(vals)})
+                                   "accuracy_mean": acc_mean,
+                                   "n_seeds": len(reports)})
                 domain_means.append(mean)
             if domain_means:
                 gmean, gstd = aggregate(domain_means)

@@ -8,7 +8,11 @@ chosen source domain); the rest mix windows from the whole pool and act
 as synthetic domains. One meta epoch adapts a copy of the parameters on
 each task's support set (a few SGD steps on the pretext loss), measures
 the pretext loss of the adapted copy on the query set, and applies the
-summed first-order query gradients to the shared parameters.
+summed first-order query gradients to the shared parameters. It returns
+its row of the TrainLog as a plain dict, {"support_loss", "query_loss"}:
+the mean inner-step and query losses, support_loss None without inner
+steps. meta_validation_loss adapts the same way but scores the query set
+on a no-grad copy, so it records no graph.
 
 rng discipline (documented because the oracle tests re-derive it): every
 function splits its generator with spawn() in a fixed order, so two
@@ -31,7 +35,7 @@ from .data import Dataset
 from .models import EncoderConfig
 from .optim import AdamState, adam_step, sgd_step
 from .params import ParamVector, grad_of
-from .pretext import PretextBatchLoss, PretextObjective, eval_ssl, min_batch
+from .pretext import PretextObjective, eval_ssl, min_batch
 
 
 class MetaError(ValueError):
@@ -131,57 +135,44 @@ def inner_adapt(objective: PretextObjective, params: ParamVector, support: np.nd
     target-side pretext replay both run here."""
     theta = params
     for _ in range(inner_steps):
-        out = eval_ssl(objective, theta, support, rng.spawn(1)[0], enc_cfg)
-        grads = grad_of(out.loss, theta)
+        loss = eval_ssl(objective, theta, support, rng.spawn(1)[0], enc_cfg)
+        grads = grad_of(loss, theta)
         if loss_sink is not None:
-            loss_sink.append(out.loss.item())
+            loss_sink.append(loss.item())
         theta = sgd_step(theta, grads, alpha)
     return theta
 
 
-def _adapt_and_query(objective: PretextObjective, params: ParamVector, ds: Dataset,
-                     task: MetaTask, hyper: MetaHyper, rng: np.random.Generator,
-                     support_sink: Optional[list],
-                     enc_cfg: Optional[EncoderConfig]) -> tuple[ParamVector, PretextBatchLoss]:
-    """Adapt a copy on the task's support set and score the query set
-    with the adapted copy; returns the copy and the query loss. Spawns
-    the query stream first, then the inner stream only when
-    hyper.inner_steps > 0."""
+def _adapt_to_task(objective: PretextObjective, params: ParamVector, ds: Dataset,
+                   task: MetaTask, hyper: MetaHyper, rng: np.random.Generator,
+                   support_sink: Optional[list], enc_cfg: Optional[EncoderConfig]
+                   ) -> tuple[ParamVector, np.random.Generator]:
+    """Adapt a copy on the task's support set; returns the copy and the
+    stream its query loss is scored with. Spawns the query stream first,
+    then the inner stream only when hyper.inner_steps > 0."""
     r_query = rng.spawn(1)[0]
     theta = params
     if hyper.inner_steps > 0:
         theta = inner_adapt(objective, params, ds.values[task.support], hyper.alpha,
                             hyper.inner_steps, rng.spawn(1)[0], support_sink, enc_cfg)
-    return theta, eval_ssl(objective, theta, ds.values[task.query], r_query, enc_cfg)
-
-
-@dataclass
-class EpochDiag:
-    query_losses: list[float] = field(default_factory=list)
-    support_losses: list[float] = field(default_factory=list)
-
-    @property
-    def mean_query_loss(self) -> float:
-        return float(np.mean(self.query_losses))
-
-    @property
-    def mean_support_loss(self) -> Optional[float]:
-        return float(np.mean(self.support_losses)) if self.support_losses else None
+    return theta, r_query
 
 
 def meta_epoch(objective: PretextObjective, params: ParamVector, ds: Dataset,
                tasks: Sequence[MetaTask], hyper: MetaHyper,
                rng: np.random.Generator, opt_state: Optional[AdamState] = None,
                enc_cfg: Optional[EncoderConfig] = None
-               ) -> tuple[ParamVector, EpochDiag, Optional[AdamState]]:
+               ) -> tuple[ParamVector, dict, Optional[AdamState]]:
     """One first-order meta update over tasks drawn from ds.
 
     Per task: adapt a copy on the support set, take the gradient of the
     adapted copy's query loss, and accumulate. The summed gradient then
     drives one outer step (Adam by default, threading opt_state; plain
-    SGD when hyper.outer == "sgd"). A task indexing outside ds, or a
-    domain-pure task whose windows span more than its one domain, is
-    rejected before any work.
+    SGD when hyper.outer == "sgd"). Returns the new parameters, the
+    epoch's TrainLog row (mean inner-step and query losses; support_loss
+    None without inner steps) and the optimizer state. A task indexing
+    outside ds, or a domain-pure task whose windows span more than its
+    one domain, is rejected before any work.
     """
     if not tasks:
         raise MetaError("meta_epoch needs at least one task")
@@ -195,19 +186,23 @@ def meta_epoch(objective: PretextObjective, params: ParamVector, ds: Dataset,
             if doms != {task.pure_domain}:
                 raise MetaError(f"pure task of domain {task.pure_domain} mixes "
                                 f"domains {sorted(doms)}")
-    diag = EpochDiag()
+    support_losses: list[float] = []
+    query_losses: list[float] = []
     total: Optional[ParamVector] = None
     for task in tasks:
-        theta_i, out = _adapt_and_query(objective, params, ds, task, hyper, rng,
-                                        diag.support_losses, enc_cfg)
-        g = grad_of(out.loss, theta_i)
-        diag.query_losses.append(out.loss.item())
+        theta_i, r_query = _adapt_to_task(objective, params, ds, task, hyper, rng,
+                                          support_losses, enc_cfg)
+        loss = eval_ssl(objective, theta_i, ds.values[task.query], r_query, enc_cfg)
+        g = grad_of(loss, theta_i)
+        query_losses.append(loss.item())
         total = g if total is None else total.add(g)
     if hyper.outer == "adam":
         new_params, opt_state = adam_step(params, total, opt_state, lr=hyper.beta)
     else:
         new_params = sgd_step(params, total, hyper.beta)
-    return new_params, diag, opt_state
+    row = {"support_loss": float(np.mean(support_losses)) if support_losses else None,
+           "query_loss": float(np.mean(query_losses))}
+    return new_params, row, opt_state
 
 
 @dataclass
@@ -267,16 +262,22 @@ def meta_validation_loss(objective: PretextObjective, params: ParamVector,
                          rng: np.random.Generator,
                          enc_cfg: Optional[EncoderConfig] = None) -> Optional[float]:
     """Mean adapted query loss over mixed tasks built from the validation
-    pool; None when the pool is too small to form a task."""
+    pool, each query scored on a no-grad copy of its task's adapted
+    parameters; None when the pool is too small to form a task."""
     val_pool = np.asarray(val_pool, dtype=np.int64)
     vh = _validation_hyper(hyper, val_pool.size, min_batch(objective))
     if vh is None:
         return None
     tasks = generate_tasks(ds, val_pool, vh, rng)
-    losses = [_adapt_and_query(objective, params, ds, task, vh, rng, None,
-                               enc_cfg)[1].loss.item()
-              for task in tasks]
-    return float(np.mean(losses))
+
+    # one call per task, so each adapted copy is freed before the next adapts
+    def query_loss(task: MetaTask) -> float:
+        theta, r_query = _adapt_to_task(objective, params, ds, task, vh, rng, None,
+                                        enc_cfg)
+        return eval_ssl(objective, theta.no_grad(), ds.values[task.query], r_query,
+                        enc_cfg).item()
+
+    return float(np.mean([query_loss(task) for task in tasks]))
 
 
 def meta_pretrain(objective: PretextObjective, init_params: ParamVector,
@@ -300,10 +301,9 @@ def meta_pretrain(objective: PretextObjective, init_params: ParamVector,
     def run_epoch(params, r_task, r_train):
         nonlocal opt_state
         tasks = source(ds, pool, hyper, r_task)
-        params, diag, opt_state = meta_epoch(objective, params, ds, tasks, hyper,
-                                             r_train, opt_state, enc_cfg)
-        return params, {"support_loss": diag.mean_support_loss,
-                        "query_loss": diag.mean_query_loss}, diag.mean_query_loss
+        params, row, opt_state = meta_epoch(objective, params, ds, tasks, hyper,
+                                            r_train, opt_state, enc_cfg)
+        return params, row, row["query_loss"]
 
     def validate(params, r_val):
         return meta_validation_loss(objective, params, ds, val_pool, hyper, r_val, enc_cfg)

@@ -78,11 +78,6 @@ OBJECTIVES = {"simclr": SimCLRObjective, "cpc": CPCObjective,
 _KIND_OF = {cls: kind for kind, cls in OBJECTIVES.items()}
 
 
-@dataclass
-class PretextBatchLoss:
-    loss: Tensor
-
-
 def objective_kind(obj: PretextObjective) -> str:
     return _KIND_OF[type(obj)]
 
@@ -207,8 +202,8 @@ def multitask_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def eval_ssl(obj: PretextObjective, params: ParamVector, windows: np.ndarray,
              rng: np.random.Generator, enc_cfg: EncoderConfig | None = None
-             ) -> PretextBatchLoss:
-    """Evaluate the pretext loss of one batch of raw windows [n, C, T].
+             ) -> Tensor:
+    """The scalar pretext loss of one batch of raw windows [n, C, T].
 
     Runs augmentation / frame splitting as the objective requires, then
     the encoder and its head. Deterministic given the rng seed; gradients
@@ -225,7 +220,7 @@ def eval_ssl(obj: PretextObjective, params: ParamVector, windows: np.ndarray,
     if isinstance(obj, SimCLRObjective):
         views = paired_views_batch(windows, obj.pipeline, rng)
         z = project(params, encode(params, views, enc_cfg))
-        return PretextBatchLoss(simclr_loss(z, obj.tau))
+        return simclr_loss(z, obj.tau)
 
     if isinstance(obj, CPCObjective):
         frames = split_frames(windows, windows.shape[2] // obj.frame_len)
@@ -237,8 +232,8 @@ def eval_ssl(obj: PretextObjective, params: ParamVector, windows: np.ndarray,
         anchor = steps - obj.horizon
         _ctx, preds = aggregate_and_predict(params, emb, obj.horizon, anchor)
         targets = emb[:, anchor:anchor + obj.horizon, :]
-        return PretextBatchLoss(cpc_loss(preds, targets, obj.tau))
+        return cpc_loss(preds, targets, obj.tau)
 
     aug, labels = sample_task_batch(windows, obj.kinds, rng, obj.apply_prob)
     logits = detect(params, encode(params, aug, enc_cfg))
-    return PretextBatchLoss(multitask_loss(logits, labels))
+    return multitask_loss(logits, labels)

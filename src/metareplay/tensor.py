@@ -671,14 +671,6 @@ def l2_normalize(x: ArrayLike, axis: int = -1, eps: float = 1e-8) -> Tensor:
     return div(x, norm)
 
 
-def cosine_similarity(a: ArrayLike, b: ArrayLike, axis: int = -1, eps: float = 1e-8) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    dot = sum_(mul(a, b), axis=axis)
-    na = sqrt(sum_(mul(a, a), axis=axis) + eps * eps)
-    nb = sqrt(sum_(mul(b, b), axis=axis) + eps * eps)
-    return div(dot, mul(na, nb))
-
-
 def cross_entropy_with_logits(logits: ArrayLike, labels: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy; labels are integer class indices [n]."""
     logits = as_tensor(logits)

@@ -142,9 +142,6 @@ def primitive_cases(rng):
              [leaf(rng, 2, 3, 6)])
     add_case("l2_normalize", lambda x: scalarize(T.l2_normalize(x, axis=1)),
              [leaf(rng, 3, 4, lo=0.4, hi=1.2)])
-    add_case("cosine_similarity",
-             lambda a, b: scalarize(T.cosine_similarity(a, b, axis=1)),
-             [leaf(rng, 3, 4, lo=0.4, hi=1.2), leaf(rng, 3, 4, lo=0.4, hi=1.2)])
     labels = rng.integers(0, 4, size=3)
     add_case("cross_entropy_with_logits",
              lambda x: T.cross_entropy_with_logits(x, labels), [leaf(rng, 3, 4)])

@@ -353,6 +353,36 @@ def test_sweep_rerun_is_identical(sweep_runs):
         json.loads((out2 / "results.json").read_text())
 
 
+def test_cell_stores_the_pipeline_record(monkeypatch):
+    # run_pipeline's record is already the JSON it is written as, and a
+    # sweep cell stores its replay and fine-tune parts unchanged
+    from metareplay import harness
+    from metareplay.adapt import PretrainedModel, run_pipeline
+    plan = load_plan(micro_plan_dict())
+    ds = load_plan_dataset(plan)
+    params = init_for_objective(plan.objective, plan.enc_cfg, ds.n_classes,
+                                np.random.default_rng(0))
+    model = PretrainedModel(params=params, method="meta", objective=plan.objective,
+                            enc_cfg=plan.enc_cfg, n_classes=ds.n_classes)
+    records = []
+
+    def recording(*args):
+        bundle, record = run_pipeline(*args)
+        records.append(record)
+        return bundle, record
+
+    monkeypatch.setattr(harness, "run_pipeline", recording)
+    cell = harness._run_cell(plan, ds, ds, {"meta": model}, 0, 2, 0, "full")
+    (record,) = records
+    assert cell["error"] is None
+    assert record == json.loads(json.dumps(record))
+    assert list(record) == ["mode", "protocol", "replay", "finetune"]
+    assert list(record["replay"]) == ["loss_before", "loss_after", "step_losses"]
+    assert list(record["finetune"]) == ["losses", "accuracies"]
+    assert cell["replay"] == record["replay"]
+    assert cell["finetune"] == record["finetune"]
+
+
 def test_failing_cells_are_isolated():
     # 40 shots per class cannot be cut from a 24-window domain: every
     # cell fails, the sweep itself must survive and say so

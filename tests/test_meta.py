@@ -168,7 +168,7 @@ def test_inner_one_step_equals_manual_composition(ds, obj):
     sup = ds.values[:6]
     got = inner_adapt(obj, params, sup, 5e-3, 1, np.random.default_rng(11))
     r = np.random.default_rng(11).spawn(1)[0]
-    loss = eval_ssl(obj, params, sup, r).loss
+    loss = eval_ssl(obj, params, sup, r)
     want = sgd_step(params, grad_of(loss, params), 5e-3)
     assert got.max_abs_diff(want) == 0.0
 
@@ -195,18 +195,18 @@ def test_meta_step_unroll_oracle(ds, obj):
                       inner_steps=1, outer="sgd")
     tasks = make_tasks(ds, hyper)
     params = small_params(obj)
-    got, diag, _ = meta_epoch(obj, params, ds, tasks, hyper, np.random.default_rng(77))
+    got, row, _ = meta_epoch(obj, params, ds, tasks, hyper, np.random.default_rng(77))
 
     r = np.random.default_rng(77)
     r_query = r.spawn(1)[0]
     r_inner = r.spawn(1)[0]
-    s_out = eval_ssl(obj, params, ds.values[tasks[0].support], r_inner.spawn(1)[0])
-    theta_1 = sgd_step(params, grad_of(s_out.loss, params), hyper.alpha)
-    q_out = eval_ssl(obj, theta_1, ds.values[tasks[0].query], r_query)
-    want = sgd_step(params, grad_of(q_out.loss, theta_1), hyper.beta)
+    s_loss = eval_ssl(obj, params, ds.values[tasks[0].support], r_inner.spawn(1)[0])
+    theta_1 = sgd_step(params, grad_of(s_loss, params), hyper.alpha)
+    q_loss = eval_ssl(obj, theta_1, ds.values[tasks[0].query], r_query)
+    want = sgd_step(params, grad_of(q_loss, theta_1), hyper.beta)
 
     assert got.max_abs_diff(want) < 1e-6
-    assert diag.query_losses == [q_out.loss.item()]
+    assert row["query_loss"] == q_loss.item()
 
 
 def test_meta_epoch_is_first_order_maml_over_many_tasks(ds, obj):
@@ -217,22 +217,22 @@ def test_meta_epoch_is_first_order_maml_over_many_tasks(ds, obj):
                       inner_steps=1, outer="adam")
     tasks = make_tasks(ds, hyper, seed=12)
     params = small_params(obj, seed=4)
-    got, diag, state = meta_epoch(obj, params, ds, tasks, hyper, np.random.default_rng(3))
+    got, row, state = meta_epoch(obj, params, ds, tasks, hyper, np.random.default_rng(3))
 
     r = np.random.default_rng(3)
     total, query_losses = None, []
     for task in tasks:
         r_query = r.spawn(1)[0]
         r_inner = r.spawn(1)[0]
-        s_out = eval_ssl(obj, params, ds.values[task.support], r_inner.spawn(1)[0])
-        adapted = sgd_step(params, grad_of(s_out.loss, params), hyper.alpha)
-        q_out = eval_ssl(obj, adapted, ds.values[task.query], r_query)
-        g = grad_of(q_out.loss, adapted)
+        s_loss = eval_ssl(obj, params, ds.values[task.support], r_inner.spawn(1)[0])
+        adapted = sgd_step(params, grad_of(s_loss, params), hyper.alpha)
+        q_loss = eval_ssl(obj, adapted, ds.values[task.query], r_query)
+        g = grad_of(q_loss, adapted)
         total = g if total is None else total.add(g)
-        query_losses.append(q_out.loss.item())
+        query_losses.append(q_loss.item())
     want, want_state = adam_step(params, total, None, lr=hyper.beta)
     assert got.max_abs_diff(want) < 1e-6
-    assert diag.query_losses == query_losses
+    assert row["query_loss"] == float(np.mean(query_losses))
     assert state.step == want_state.step == 1
     assert state.m.max_abs_diff(want_state.m) < 1e-6
 
@@ -255,8 +255,30 @@ def test_meta_validation_loss_is_mean_adapted_query_loss(ds, obj):
         r_inner = r.spawn(1)[0]
         adapted = inner_adapt(obj, params, ds.values[task.support], hyper.alpha, 1,
                               r_inner)
-        losses.append(eval_ssl(obj, adapted, ds.values[task.query], r_query).loss.item())
+        losses.append(eval_ssl(obj, adapted, ds.values[task.query], r_query).item())
     assert got == float(np.mean(losses))
+
+
+def test_meta_validation_scores_queries_without_a_graph(ds, obj, monkeypatch):
+    # validation reads only the query losses' values, so no query loss
+    # may record a graph; the inner steps before them still need one
+    from metareplay import meta
+    hyper = MetaHyper(M=3, M_dom=2, K=8, alpha=5e-3, inner_steps=1, val_tasks=3)
+    losses = []
+
+    def recording(*args):
+        loss = eval_ssl(*args)
+        losses.append(loss)
+        return loss
+
+    monkeypatch.setattr(meta, "eval_ssl", recording)
+    got = meta_validation_loss(obj, small_params(obj, seed=6), ds, np.arange(60, 72),
+                               hyper, np.random.default_rng(9))
+    inner, query = losses[0::2], losses[1::2]
+    assert len(inner) == len(query) == 3
+    assert all(loss.requires_grad for loss in inner)
+    assert not any(loss.requires_grad for loss in query)
+    assert got == float(np.mean([loss.item() for loss in query]))
 
 
 def test_meta_epoch_duplicate_task_doubles_gradient(ds, obj):
@@ -277,8 +299,8 @@ def test_meta_epoch_duplicate_task_doubles_gradient(ds, obj):
     g_total = None
     for _ in range(2):
         rq = r.spawn(1)[0]
-        out = eval_ssl(obj, params, ds.values[tasks[0].query], rq)
-        g = grad_of(out.loss, params)
+        loss = eval_ssl(obj, params, ds.values[tasks[0].query], rq)
+        g = grad_of(loss, params)
         g_total = g if g_total is None else g_total.add(g)
     want = sgd_step(params, g_total, 1e-3)
     assert two.max_abs_diff(want) == 0.0

@@ -207,9 +207,9 @@ def test_eval_ssl_deterministic_per_seed(rng):
         wins = windows_batch(rng)
         a = eval_ssl(obj, params, wins, np.random.default_rng(42))
         b = eval_ssl(obj, params, wins, np.random.default_rng(42))
-        assert a.loss.data == b.loss.data, objective_kind(obj)
-        assert np.isfinite(a.loss.data)
-        assert float(a.loss.data) >= 0.0
+        assert a.data == b.data, objective_kind(obj)
+        assert np.isfinite(a.data)
+        assert float(a.data) >= 0.0
 
 
 def test_eval_ssl_simclr_identity_pipeline_reduces_to_identical_views(rng):
@@ -222,7 +222,7 @@ def test_eval_ssl_simclr_identity_pipeline_reduces_to_identical_views(rng):
     one = rng.uniform(-0.5, 0.5, size=(1, 3, 256)).astype(np.float32)
     wins = np.repeat(one, 4, axis=0)
     out = eval_ssl(obj, params, wins, np.random.default_rng(0))
-    assert abs(float(out.loss.data) - np.log(2 * 4 - 1)) < 1e-3
+    assert abs(float(out.data) - np.log(2 * 4 - 1)) < 1e-3
 
 
 def test_eval_ssl_multitask_p_zero_zero_heads_ln2(rng):
@@ -232,7 +232,7 @@ def test_eval_ssl_multitask_p_zero_zero_heads_ln2(rng):
     params = params.map(lambda n, a: np.zeros_like(a)
                         if n.startswith("head.") else a)
     out = eval_ssl(obj, params, windows_batch(rng), np.random.default_rng(0))
-    assert abs(float(out.loss.data) - np.log(2.0)) < 1e-6
+    assert abs(float(out.data) - np.log(2.0)) < 1e-6
 
 
 def test_eval_ssl_batch_too_small(rng):
