@@ -9,7 +9,6 @@ the encoder is trained for a few steps.
 import numpy as np
 
 from metareplay.data import default_synth_spec, normalize, synth_generate
-from metareplay.models import default_encoder_config
 from metareplay.optim import adam_step
 from metareplay.params import grad_of
 from metareplay.pretext import (CPCObjective, MultiTaskObjective,
@@ -20,15 +19,13 @@ from metareplay.pretext import (CPCObjective, MultiTaskObjective,
 def main():
     ds = normalize(synth_generate(default_synth_spec(samples_per_class=20), 3))
     batch = ds.values[np.random.default_rng(0).choice(ds.n_windows, 32, False)]
-    enc_cfg = default_encoder_config()
 
     objectives = (SimCLRObjective(), CPCObjective(), MultiTaskObjective())
     for obj in objectives:
         name = type(obj).__name__
-        params = init_for_objective(obj, enc_cfg, ds.n_classes,
-                                    np.random.default_rng(1))
-        loss = eval_ssl(obj, params, batch, np.random.default_rng(2), enc_cfg)
-        again = eval_ssl(obj, params, batch, np.random.default_rng(2), enc_cfg)
+        params = init_for_objective(obj, ds.n_classes, np.random.default_rng(1))
+        loss = eval_ssl(obj, params, batch, np.random.default_rng(2))
+        again = eval_ssl(obj, params, batch, np.random.default_rng(2))
         print(f"{name:18s} loss {loss.item():.4f}  "
               f"deterministic={loss.item() == again.item()}")
         print(f"{'':18s} minimum batch {min_batch(obj)}, "
@@ -37,13 +34,12 @@ def main():
     # ten optimizer steps pull each loss below its untrained value
     print("\nten Adam steps on a fresh encoder:")
     for obj in objectives:
-        params = init_for_objective(obj, enc_cfg, ds.n_classes,
-                                    np.random.default_rng(1))
+        params = init_for_objective(obj, ds.n_classes, np.random.default_rng(1))
         rng = np.random.default_rng(4)
         state = None
         first = last = None
         for _ in range(10):
-            loss = eval_ssl(obj, params, batch, rng.spawn(1)[0], enc_cfg)
+            loss = eval_ssl(obj, params, batch, rng.spawn(1)[0])
             first = first if first is not None else loss.item()
             last = loss.item()
             grads = grad_of(loss, params)

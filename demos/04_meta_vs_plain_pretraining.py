@@ -18,7 +18,6 @@ from metareplay.data import make_split, normalize, synth_generate, default_synth
 from metareplay.harness import PretrainHyper, plain_pretrain
 from metareplay.meta import MetaHyper, meta_pretrain
 from metareplay.metrics import evaluate
-from metareplay.models import default_encoder_config
 from metareplay.pretext import SimCLRObjective, init_for_objective
 
 EPOCHS = 40
@@ -29,8 +28,7 @@ def main():
     ds = normalize(synth_generate(default_synth_spec(samples_per_class=30), 11))
     split = make_split(ds, TARGET, k=5, seed=0)
     obj = SimCLRObjective()
-    enc_cfg = default_encoder_config()
-    init = init_for_objective(obj, enc_cfg, ds.n_classes, np.random.default_rng(7))
+    init = init_for_objective(obj, ds.n_classes, np.random.default_rng(7))
 
     meta_hyper = MetaHyper(epochs=EPOCHS)
     meta_params, meta_log = meta_pretrain(obj, init, ds, split.pretrain_train,
@@ -55,10 +53,10 @@ def main():
     cfg = FinetuneConfig()
     for name, params in (("meta", meta_params), ("plain", plain_params)):
         bundle, _log = finetune(params, ds.values[split.finetune_shots],
-                                ds.labels[split.finetune_shots], cfg, enc_cfg)
+                                ds.labels[split.finetune_shots], cfg, obj.encoder)
         rep = evaluate(bundle, ds.values[split.target_test],
                        ds.labels[split.target_test], ds.n_classes, 0, "",
-                       enc_cfg)
+                       obj.encoder)
         print(f"{name:5s} encoder, frozen, 5-shot probe on held-out domain "
               f"{TARGET}: macro-F1 {rep.macro_f1:.3f}")
 

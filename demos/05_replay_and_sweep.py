@@ -48,7 +48,7 @@ def main():
                                       np.random.default_rng(5))
         rep = evaluate(bundle, dsn.values[split.target_test],
                        dsn.labels[split.target_test], ds.n_classes, 0,
-                       plan.config_hash, plan.enc_cfg)
+                       plan.config_hash, plan.objective.encoder)
         replay = record["replay"]
         if replay is not None:
             rl = f"{replay['loss_before']:.3f} -> {replay['loss_after']:.3f}"

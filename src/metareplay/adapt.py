@@ -23,8 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .meta import inner_adapt
-from .models import CLF_PREFIX, ENC_PREFIX, HEAD_PREFIX, EncoderConfig, classify, \
-    default_encoder_config, encode, encoder_from_config, encoder_to_config
+from .models import CLF_PREFIX, ENC_PREFIX, EncoderConfig, classify, encode
 from .optim import adam_step
 from .params import ParamVector, grad_of
 from .pretext import (PretextObjective, eval_ssl, min_batch, objective_from_config,
@@ -80,9 +79,7 @@ class FinetuneConfig:
 
 def pretext_replay(objective: PretextObjective, params: ParamVector,
                    shot_values: np.ndarray, cfg: ReplayConfig,
-                   rng: np.random.Generator,
-                   enc_cfg: Optional[EncoderConfig] = None
-                   ) -> tuple[ParamVector, dict]:
+                   rng: np.random.Generator) -> tuple[ParamVector, dict]:
     """cfg.steps full-batch pretext gradient steps on the shot windows,
     the same steps meta pre-training's inner loop takes (inner_adapt).
     Returns the adapted parameters and the replay record.
@@ -99,9 +96,8 @@ def pretext_replay(objective: PretextObjective, params: ParamVector,
                          f"minimum batch {min_batch(objective)}")
     step_losses: list[float] = []
     theta = inner_adapt(objective, params, shot_values, cfg.lr, cfg.steps, rng,
-                        loss_sink=step_losses, enc_cfg=enc_cfg)
-    final = eval_ssl(objective, theta.no_grad(), shot_values, rng.spawn(1)[0],
-                     enc_cfg).item()
+                        loss_sink=step_losses)
+    final = eval_ssl(objective, theta.no_grad(), shot_values, rng.spawn(1)[0]).item()
     before = step_losses[0] if step_losses else final
     return theta, {"loss_before": before, "loss_after": final,
                    "step_losses": step_losses}
@@ -114,8 +110,7 @@ def _trainable_prefixes(protocol: str) -> tuple[str, ...]:
 
 
 def finetune(params: ParamVector, shot_values: np.ndarray, shot_labels: np.ndarray,
-             cfg: FinetuneConfig, enc_cfg: Optional[EncoderConfig] = None
-             ) -> tuple[ParamVector, dict]:
+             cfg: FinetuneConfig, encoder: EncoderConfig) -> tuple[ParamVector, dict]:
     """Train the classification head on the labeled shots with full-batch
     Adam and cross-entropy; returns the bundle and the fine-tune record.
 
@@ -124,7 +119,6 @@ def finetune(params: ParamVector, shot_values: np.ndarray, shot_labels: np.ndarr
     encoder. The classifier restarts from zero weights, so epochs=0
     yields uniform logits. The procedure is deterministic.
     """
-    enc_cfg = enc_cfg or default_encoder_config()
     shot_values = np.asarray(shot_values, dtype=np.float32)
     shot_labels = np.asarray(shot_labels, dtype=np.int64)
     n_classes = params["clf.b"].size
@@ -139,11 +133,11 @@ def finetune(params: ParamVector, shot_values: np.ndarray, shot_labels: np.ndarr
     opt_state = None
     frozen_embedding = None
     if cfg.protocol == LINEAR:
-        frozen_embedding = encode(bundle.no_grad(), shot_values, enc_cfg)
+        frozen_embedding = encode(bundle.no_grad(), shot_values, encoder)
 
     for _ in range(cfg.epochs):
         emb = frozen_embedding if frozen_embedding is not None \
-            else encode(bundle, shot_values, enc_cfg)
+            else encode(bundle, shot_values, encoder)
         logits = classify(bundle, emb)
         loss = T.cross_entropy_with_logits(logits, shot_labels)
         trainable = bundle.select(lambda n: n.startswith(prefixes))
@@ -169,8 +163,7 @@ _MODE_REPLAYS = {"baseline": False, "replay_only": True, "meta_only": False, "fu
 class PretrainedModel:
     params: ParamVector
     method: str                      # "plain" or "meta"
-    objective: PretextObjective
-    enc_cfg: EncoderConfig
+    objective: PretextObjective      # encoder included
     n_classes: int
 
     def __post_init__(self):
@@ -179,12 +172,13 @@ class PretrainedModel:
 
 
 def save_pretrained(model: PretrainedModel, path) -> None:
-    """ParamVector file plus a JSON sidecar (path + '.json') describing
-    how it was trained, so adaptation can rebuild the objective."""
+    """ParamVector file plus a JSON sidecar (path + '.json'),
+    {"method", "pretext", "n_classes"}, from which adaptation rebuilds the
+    model; "pretext" is the objective's config, encoder included, as in a
+    plan file. Older sidecars keep the encoder in a top-level "encoder"."""
     model.params.save(path)
     meta = {"method": model.method,
             "pretext": objective_to_config(model.objective),
-            "encoder": encoder_to_config(model.enc_cfg),
             "n_classes": model.n_classes}
     with open(f"{path}.json", "w") as fh:
         json.dump(meta, fh, indent=1)
@@ -197,10 +191,15 @@ def load_pretrained(path) -> PretrainedModel:
             meta = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"missing model sidecar {path}.json") from None
-    return PretrainedModel(params=params, method=meta["method"],
-                           objective=objective_from_config(meta["pretext"]),
-                           enc_cfg=encoder_from_config(meta.get("encoder", {})),
-                           n_classes=int(meta.get("n_classes", 0)))
+    try:
+        pretext = dict(meta["pretext"])
+        if "encoder" in meta:                    # an older sidecar
+            pretext["encoder"] = meta["encoder"]
+        return PretrainedModel(params=params, method=meta["method"],
+                               objective=objective_from_config(pretext),
+                               n_classes=int(meta.get("n_classes", 0)))
+    except (KeyError, TypeError) as e:
+        raise ConfigError(f"malformed model sidecar {path}.json: {e!r}") from None
 
 
 def run_pipeline(mode: str, pretrained: PretrainedModel, ds, split,
@@ -231,9 +230,8 @@ def run_pipeline(mode: str, pretrained: PretrainedModel, ds, split,
     replay_log = None
     if _MODE_REPLAYS[mode]:
         params, replay_log = pretext_replay(pretrained.objective, params, shot_values,
-                                            replay_cfg, rng.spawn(1)[0],
-                                            pretrained.enc_cfg)
+                                            replay_cfg, rng.spawn(1)[0])
     bundle, ft_log = finetune(params, shot_values, ds.labels[shots], finetune_cfg,
-                              pretrained.enc_cfg)
+                              pretrained.objective.encoder)
     return bundle, {"mode": mode, "protocol": finetune_cfg.protocol,
                     "replay": replay_log, "finetune": ft_log}

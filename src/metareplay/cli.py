@@ -88,8 +88,8 @@ def _adapt_and_report(args, model, mode: str, replay_cfg: ReplayConfig,
     bundle, record = run_pipeline(mode, model, dsn, split, replay_cfg, ft_cfg, rng)
     bundle.save(args.out)
     report = evaluate(bundle, dsn.values[split.target_test],
-                      dsn.labels[split.target_test], ds.n_classes, args.seed,
-                      enc_cfg=model.enc_cfg)
+                      dsn.labels[split.target_test], ds.n_classes, args.seed, "",
+                      model.objective.encoder)
     with open(f"{args.out}.log.json", "w") as fh:
         json.dump({**record, "test": report.to_json_dict()}, fh, indent=1)
     return report
@@ -148,7 +148,7 @@ def cmd_dump_embeddings(args) -> int:
     else:
         from .data import normalize
         dsn = normalize(ds)
-    dump_embeddings(model.params, dsn, args.out, enc_cfg=model.enc_cfg)
+    dump_embeddings(model.params, dsn, args.out, model.objective.encoder)
     print(f"wrote {dsn.n_windows} embedding rows to {args.out}")
     return 0
 

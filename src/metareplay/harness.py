@@ -16,19 +16,18 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .adapt import (ConfigError, FinetuneConfig, PretrainedModel, ReplayConfig,
-                    _MODE_NEEDS, MODES, META, PLAIN, run_pipeline)
-from .data import (Dataset, DataError, DomainRecipe, SynthSpec, compute_norm_stats,
+from .adapt import (FinetuneConfig, PretrainedModel, ReplayConfig, _MODE_NEEDS, MODES,
+                    META, run_pipeline)
+from .data import (Dataset, DomainRecipe, SynthSpec, compute_norm_stats,
                    apply_norm, default_synth_spec, exclude_small_domains, make_split,
                    pool_split, read_csv_dataset, read_dataset, stratified_shot_split)
 from .meta import MetaHyper, TrainLog, meta_pretrain, train_epochs
 from .metrics import aggregate, evaluate
-from .models import (EncoderConfig, default_encoder_config, encode,
-                     encoder_from_config, encoder_to_config)
+from .models import EncoderConfig, encode
 from .optim import adam_step
 from .params import ParamVector, grad_of
 from .pretext import (OBJECTIVES, PretextError, PretextObjective, eval_ssl,
@@ -144,7 +143,6 @@ class ExperimentPlan:
     synth_seed: int
     min_count: int
     objective: PretextObjective
-    enc_cfg: EncoderConfig
     meta_hyper: MetaHyper
     replay_cfg: ReplayConfig
     finetune_cfg: FinetuneConfig
@@ -155,6 +153,12 @@ class ExperimentPlan:
     plain_hyper: PretrainHyper
     study_kinds: tuple[str, ...]
     study_shots: int
+
+    @property
+    def enc_cfg(self) -> EncoderConfig:
+        """The objective's encoder. Kept as a name of its own because the
+        benchmark's workloads pass plan.enc_cfg to metrics.evaluate."""
+        return self.objective.encoder
 
     @property
     def config_hash(self) -> str:
@@ -168,7 +172,7 @@ def load_plan(source) -> ExperimentPlan:
     Keys and defaults come from the config dataclasses. The meta, replay
     and finetune sections take the fields of MetaHyper, ReplayConfig and
     FinetuneConfig (meta also accepts its derived multi_task_fraction);
-    pretext takes "kind", that objective class's fields and "encoder";
+    pretext takes "kind" and the fields of that objective class;
     recipes take DomainRecipe's fields; the sweep's plain_* keys map to
     PretrainHyper's fields (_PLAIN_FIELDS); synthetic-data defaults are
     default_synth_spec()'s. plan.raw is written from the parsed objects,
@@ -228,13 +232,8 @@ def load_plan(source) -> ExperimentPlan:
                             for i, r in enumerate(_list("data.synth.recipes", recipes)))
         synth_spec = SynthSpec(domains=domains, **sizes)
 
-    pretext = section("pretext")
     try:
-        enc_cfg = encoder_from_config(pretext.pop("encoder", None) or {})
-    except TypeError as e:                  # a value of the wrong JSON type
-        raise PlanError(f"bad value in 'pretext.encoder': {e}") from None
-    try:
-        objective = objective_from_config(pretext)
+        objective = objective_from_config(section("pretext"))
     except PretextError as e:
         raise PlanError(f"pretext: {e}") from None
 
@@ -286,8 +285,7 @@ def load_plan(source) -> ExperimentPlan:
                   "recipes": [{**vars(r), "channel_gains": list(r.channel_gains)}
                               for r in synth_spec.domains]},
                  "min_count": min_count},
-        "pretext": {**objective_to_config(objective),
-                    "encoder": encoder_to_config(enc_cfg)},
+        "pretext": objective_to_config(objective),
         "meta": {**asdict(meta_hyper),
                  "multi_task_fraction": meta_hyper.multi_task_fraction},
         "replay": asdict(replay_cfg),
@@ -301,8 +299,7 @@ def load_plan(source) -> ExperimentPlan:
     }
     return ExperimentPlan(raw=normalized, data_path=data_path, synth_spec=synth_spec,
                           synth_seed=synth_seed, min_count=min_count,
-                          objective=objective, enc_cfg=enc_cfg,
-                          meta_hyper=meta_hyper, replay_cfg=replay_cfg,
+                          objective=objective, meta_hyper=meta_hyper, replay_cfg=replay_cfg,
                           finetune_cfg=finetune_cfg, modes=modes, shots=shots,
                           n_seeds=n_seeds, master_seed=master_seed,
                           plain_hyper=plain_hyper, study_kinds=study_kinds,
@@ -334,7 +331,6 @@ def epoch_order(pool, rng: np.random.Generator) -> np.ndarray:
 def plain_pretrain(objective: PretextObjective, init_params: ParamVector,
                    ds: Dataset, train_pool, val_pool, hyper: PretrainHyper,
                    rng: np.random.Generator,
-                   enc_cfg: Optional[EncoderConfig] = None,
                    record_trajectory: bool = False) -> tuple[ParamVector, TrainLog]:
     """Ordinary mini-batch SSL training with Adam, checkpointed on
     validation loss by meta.train_epochs.
@@ -346,7 +342,6 @@ def plain_pretrain(objective: PretextObjective, init_params: ParamVector,
     skipped. Validation scores one batch of the validation pool, drawn
     from the fixed validation stream.
     """
-    enc_cfg = enc_cfg or default_encoder_config()
     val_pool = np.asarray(val_pool, dtype=np.int64)
     opt_state = None
 
@@ -358,8 +353,7 @@ def plain_pretrain(objective: PretextObjective, init_params: ParamVector,
             batch = perm[start:start + hyper.batch_size]
             if batch.size < min_batch(objective):
                 continue
-            loss = eval_ssl(objective, params, ds.values[batch], r_train.spawn(1)[0],
-                            enc_cfg)
+            loss = eval_ssl(objective, params, ds.values[batch], r_train.spawn(1)[0])
             grads = grad_of(loss, params)
             params, opt_state = adam_step(params, grads, opt_state, lr=hyper.lr,
                                           weight_decay=hyper.weight_decay)
@@ -375,7 +369,7 @@ def plain_pretrain(objective: PretextObjective, init_params: ParamVector,
             return None
         vbatch = epoch_order(val_pool, r_val)[:hyper.batch_size]
         return eval_ssl(objective, params.no_grad(), ds.values[vbatch],
-                        r_val.spawn(1)[0], enc_cfg).item()
+                        r_val.spawn(1)[0]).item()
 
     return train_epochs(init_params, hyper.epochs, rng, run_epoch, validate,
                         record_trajectory)
@@ -423,18 +417,17 @@ def pretrain_for_target(plan: ExperimentPlan, ds: Dataset, target: int,
     stats = compute_norm_stats(ds.values[ref.pretrain_train])
     dsn = apply_norm(ds, stats)
     rng = rng_for(plan.master_seed, "pretrain", target, method)
-    init = init_for_objective(plan.objective, plan.enc_cfg, ds.n_classes,
-                              rng.spawn(1)[0])
+    init = init_for_objective(plan.objective, ds.n_classes, rng.spawn(1)[0],
+                              ds.channels)
     if method == META:
         params, log = meta_pretrain(plan.objective, init, dsn, ref.pretrain_train,
-                                    ref.pretrain_val, plan.meta_hyper, rng.spawn(1)[0],
-                                    enc_cfg=plan.enc_cfg)
+                                    ref.pretrain_val, plan.meta_hyper, rng.spawn(1)[0])
     else:
         params, log = plain_pretrain(plan.objective, init, dsn, ref.pretrain_train,
                                      ref.pretrain_val, plan.plain_hyper,
-                                     rng.spawn(1)[0], plan.enc_cfg)
+                                     rng.spawn(1)[0])
     model = PretrainedModel(params=params, method=method, objective=plan.objective,
-                            enc_cfg=plan.enc_cfg, n_classes=ds.n_classes)
+                            n_classes=ds.n_classes)
     return model, log, dsn
 
 
@@ -455,7 +448,7 @@ def _run_cell(plan: ExperimentPlan, dsn: Dataset, ds: Dataset,
                                       split, plan.replay_cfg, plan.finetune_cfg, rng)
         report = evaluate(bundle, dsn.values[split.target_test],
                           dsn.labels[split.target_test], ds.n_classes, seed_i,
-                          plan.config_hash, plan.enc_cfg)
+                          plan.config_hash, plan.objective.encoder)
         cell["report"] = report.to_json_dict()
         cell["replay"] = record["replay"]
         cell["finetune"] = record["finetune"]
@@ -565,7 +558,8 @@ def domain_shift_study(plan: ExperimentPlan,
     k = plan.study_shots
     results: dict = {"config_hash": plan.config_hash, "kinds": {}}
     for kind in plan.study_kinds:
-        objective = objective_from_config({"kind": kind})
+        objective = replace(objective_from_config({"kind": kind}),
+                            encoder=plan.objective.encoder)
         per_domain = []
         for d in range(ds.n_domains):
             idx_d = ds.domain_indices(d)
@@ -583,8 +577,9 @@ def domain_shift_study(plan: ExperimentPlan,
             out_train = np.sort(perm[:in_train.size])
             out_val = np.sort(perm[in_train.size:need])
 
-            init = init_for_objective(objective, plan.enc_cfg, ds.n_classes,
-                                      rng_for(plan.master_seed, "study-init", kind, d))
+            init = init_for_objective(objective, ds.n_classes,
+                                      rng_for(plan.master_seed, "study-init", kind, d),
+                                      ds.channels)
             arms = {}
             for arm, (tr, va) in (("in_domain", (in_train, in_val)),
                                   ("out_of_domain", (out_train, out_val))):
@@ -592,8 +587,7 @@ def domain_shift_study(plan: ExperimentPlan,
                 dsn = apply_norm(ds, stats)
                 params, _log = plain_pretrain(
                     objective, init, dsn, tr, va, plan.plain_hyper,
-                    rng_for(plan.master_seed, "study-pretrain", kind, d, arm),
-                    plan.enc_cfg)
+                    rng_for(plan.master_seed, "study-pretrain", kind, d, arm))
                 seed_f1 = []
                 for s in range(plan.n_seeds):
                     shots, _val, test = stratified_shot_split(
@@ -601,9 +595,9 @@ def domain_shift_study(plan: ExperimentPlan,
                         f"domain {d} study remainder")
                     from .adapt import finetune
                     bundle, _ft = finetune(params, dsn.values[shots], ds.labels[shots],
-                                           plan.finetune_cfg, plan.enc_cfg)
+                                           plan.finetune_cfg, objective.encoder)
                     rep = evaluate(bundle, dsn.values[test], dsn.labels[test],
-                                   ds.n_classes, s, plan.config_hash, plan.enc_cfg)
+                                   ds.n_classes, s, plan.config_hash, objective.encoder)
                     seed_f1.append(rep.macro_f1)
                 arms[arm] = aggregate(seed_f1)[0]
             per_domain.append({"domain": d, "domain_tag": ds.domain_tags[d],
@@ -628,21 +622,19 @@ def domain_shift_study(plan: ExperimentPlan,
 # ---------------------------------------------------------------------------
 # embedding dumps
 
-def dump_embeddings(params: ParamVector, ds: Dataset, path,
-                    indices=None, enc_cfg: Optional[EncoderConfig] = None,
-                    batch: int = 256) -> None:
+def dump_embeddings(params: ParamVector, ds: Dataset, path, encoder: EncoderConfig,
+                    indices=None, batch: int = 256) -> None:
     """CSV with header domain,label,e0..e{dim-1}, one row per window in
     the given order (all windows by default)."""
-    enc_cfg = enc_cfg or default_encoder_config()
     idx = np.arange(ds.n_windows) if indices is None \
         else np.asarray(indices, dtype=np.int64)
-    dim = enc_cfg.embedding_dim
+    dim = encoder.embedding_dim
     params = params.no_grad()
     with open(path, "w") as fh:
         fh.write("domain,label," + ",".join(f"e{i}" for i in range(dim)) + "\n")
         for start in range(0, idx.size, batch):
             chunk = idx[start:start + batch]
-            emb = encode(params, ds.values[chunk], enc_cfg).data
+            emb = encode(params, ds.values[chunk], encoder).data
             for row, i in enumerate(chunk):
                 vals = ",".join(repr(float(v)) for v in emb[row])
                 fh.write(f"{int(ds.domains[i])},{int(ds.labels[i])},{vals}\n")

@@ -27,12 +27,12 @@ the same as one mini-batch of ordinary pre-training.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .models import EncoderConfig
 from .optim import AdamState, adam_step, sgd_step
 from .params import ParamVector, grad_of
 from .pretext import PretextObjective, eval_ssl, min_batch
@@ -126,8 +126,7 @@ def generate_tasks(ds: Dataset, pool: np.ndarray, hyper: MetaHyper,
 
 def inner_adapt(objective: PretextObjective, params: ParamVector, support: np.ndarray,
                 alpha: float, inner_steps: int, rng: np.random.Generator,
-                loss_sink: Optional[list] = None,
-                enc_cfg: Optional[EncoderConfig] = None) -> ParamVector:
+                loss_sink: Optional[list] = None) -> ParamVector:
     """inner_steps full-batch SGD steps on the pretext loss over the
     support windows [n, C, T], one spawned stream per step; returns a
     fresh vector, the input is never mutated. Appends the per-step losses
@@ -135,7 +134,7 @@ def inner_adapt(objective: PretextObjective, params: ParamVector, support: np.nd
     target-side pretext replay both run here."""
     theta = params
     for _ in range(inner_steps):
-        loss = eval_ssl(objective, theta, support, rng.spawn(1)[0], enc_cfg)
+        loss = eval_ssl(objective, theta, support, rng.spawn(1)[0])
         grads = grad_of(loss, theta)
         if loss_sink is not None:
             loss_sink.append(loss.item())
@@ -145,7 +144,7 @@ def inner_adapt(objective: PretextObjective, params: ParamVector, support: np.nd
 
 def _adapt_to_task(objective: PretextObjective, params: ParamVector, ds: Dataset,
                    task: MetaTask, hyper: MetaHyper, rng: np.random.Generator,
-                   support_sink: Optional[list], enc_cfg: Optional[EncoderConfig]
+                   support_sink: Optional[list]
                    ) -> tuple[ParamVector, np.random.Generator]:
     """Adapt a copy on the task's support set; returns the copy and the
     stream its query loss is scored with. Spawns the query stream first,
@@ -154,14 +153,13 @@ def _adapt_to_task(objective: PretextObjective, params: ParamVector, ds: Dataset
     theta = params
     if hyper.inner_steps > 0:
         theta = inner_adapt(objective, params, ds.values[task.support], hyper.alpha,
-                            hyper.inner_steps, rng.spawn(1)[0], support_sink, enc_cfg)
+                            hyper.inner_steps, rng.spawn(1)[0], support_sink)
     return theta, r_query
 
 
 def meta_epoch(objective: PretextObjective, params: ParamVector, ds: Dataset,
                tasks: Sequence[MetaTask], hyper: MetaHyper,
-               rng: np.random.Generator, opt_state: Optional[AdamState] = None,
-               enc_cfg: Optional[EncoderConfig] = None
+               rng: np.random.Generator, opt_state: Optional[AdamState] = None
                ) -> tuple[ParamVector, dict, Optional[AdamState]]:
     """One first-order meta update over tasks drawn from ds.
 
@@ -188,14 +186,17 @@ def meta_epoch(objective: PretextObjective, params: ParamVector, ds: Dataset,
                                 f"domains {sorted(doms)}")
     support_losses: list[float] = []
     query_losses: list[float] = []
-    total: Optional[ParamVector] = None
-    for task in tasks:
-        theta_i, r_query = _adapt_to_task(objective, params, ds, task, hyper, rng,
-                                          support_losses, enc_cfg)
-        loss = eval_ssl(objective, theta_i, ds.values[task.query], r_query, enc_cfg)
-        g = grad_of(loss, theta_i)
+
+    # one call per task frees its adapted copy, query graph and gradient
+    def add_query_grad(total: Optional[ParamVector], task: MetaTask) -> ParamVector:
+        theta, r_query = _adapt_to_task(objective, params, ds, task, hyper, rng,
+                                        support_losses)
+        loss = eval_ssl(objective, theta, ds.values[task.query], r_query)
+        g = grad_of(loss, theta)
         query_losses.append(loss.item())
-        total = g if total is None else total.add(g)
+        return g if total is None else total.add(g)
+
+    total = reduce(add_query_grad, tasks, None)
     if hyper.outer == "adam":
         new_params, opt_state = adam_step(params, total, opt_state, lr=hyper.beta)
     else:
@@ -259,8 +260,7 @@ def _validation_hyper(hyper: MetaHyper, n_val: int, obj_min: int) -> Optional[Me
 
 def meta_validation_loss(objective: PretextObjective, params: ParamVector,
                          ds: Dataset, val_pool: np.ndarray, hyper: MetaHyper,
-                         rng: np.random.Generator,
-                         enc_cfg: Optional[EncoderConfig] = None) -> Optional[float]:
+                         rng: np.random.Generator) -> Optional[float]:
     """Mean adapted query loss over mixed tasks built from the validation
     pool, each query scored on a no-grad copy of its task's adapted
     parameters; None when the pool is too small to form a task."""
@@ -272,10 +272,9 @@ def meta_validation_loss(objective: PretextObjective, params: ParamVector,
 
     # one call per task, so each adapted copy is freed before the next adapts
     def query_loss(task: MetaTask) -> float:
-        theta, r_query = _adapt_to_task(objective, params, ds, task, vh, rng, None,
-                                        enc_cfg)
-        return eval_ssl(objective, theta.no_grad(), ds.values[task.query], r_query,
-                        enc_cfg).item()
+        theta, r_query = _adapt_to_task(objective, params, ds, task, vh, rng, None)
+        return eval_ssl(objective, theta.no_grad(), ds.values[task.query],
+                        r_query).item()
 
     return float(np.mean([query_loss(task) for task in tasks]))
 
@@ -284,9 +283,7 @@ def meta_pretrain(objective: PretextObjective, init_params: ParamVector,
                   ds: Dataset, train_pool: np.ndarray, val_pool: np.ndarray,
                   hyper: MetaHyper, rng: np.random.Generator,
                   task_source: Optional[TaskSource] = None,
-                  record_trajectory: bool = False,
-                  enc_cfg: Optional[EncoderConfig] = None
-                  ) -> tuple[ParamVector, TrainLog]:
+                  record_trajectory: bool = False) -> tuple[ParamVector, TrainLog]:
     """Full meta-pre-training loop.
 
     Each epoch: fresh tasks from the training pool (the sampling stream),
@@ -302,11 +299,11 @@ def meta_pretrain(objective: PretextObjective, init_params: ParamVector,
         nonlocal opt_state
         tasks = source(ds, pool, hyper, r_task)
         params, row, opt_state = meta_epoch(objective, params, ds, tasks, hyper,
-                                            r_train, opt_state, enc_cfg)
+                                            r_train, opt_state)
         return params, row, row["query_loss"]
 
     def validate(params, r_val):
-        return meta_validation_loss(objective, params, ds, val_pool, hyper, r_val, enc_cfg)
+        return meta_validation_loss(objective, params, ds, val_pool, hyper, r_val)
 
     return train_epochs(init_params, hyper.epochs, rng, run_epoch, validate,
                         record_trajectory)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .models import EncoderConfig, classify, default_encoder_config, encode
+from .models import EncoderConfig, classify, encode
 from .params import ParamVector
 
 
@@ -75,15 +75,14 @@ def macro_f1(cm: ConfusionMatrix) -> float:
     return float(per_class_f1(cm)[present].mean())
 
 
-def predict(bundle: ParamVector, windows: np.ndarray,
-            enc_cfg: Optional[EncoderConfig] = None, batch: int = 256) -> np.ndarray:
+def predict(bundle: ParamVector, windows: np.ndarray, encoder: EncoderConfig,
+            batch: int = 256) -> np.ndarray:
     """Argmax class per window; ties break toward the lowest index."""
     windows = np.asarray(windows, dtype=np.float32)
-    enc_cfg = enc_cfg or default_encoder_config()
     bundle = bundle.no_grad()
     out = []
     for start in range(0, windows.shape[0], batch):
-        logits = classify(bundle, encode(bundle, windows[start:start + batch], enc_cfg))
+        logits = classify(bundle, encode(bundle, windows[start:start + batch], encoder))
         out.append(logits.data.argmax(axis=1))
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
@@ -107,9 +106,9 @@ class MetricReport:
 
 
 def evaluate(bundle: ParamVector, windows: np.ndarray, labels: np.ndarray,
-             n_classes: int, seed: int, config_hash: str = "",
-             enc_cfg: Optional[EncoderConfig] = None) -> MetricReport:
-    preds = predict(bundle, windows, enc_cfg)
+             n_classes: int, seed: int, config_hash: str,
+             encoder: EncoderConfig) -> MetricReport:
+    preds = predict(bundle, windows, encoder)
     cm = ConfusionMatrix.from_predictions(labels, preds, n_classes)
     return MetricReport(macro_f1=macro_f1(cm),
                         per_class_f1=[float(v) for v in per_class_f1(cm)],

@@ -4,6 +4,8 @@ One shared 1-d conv encoder feeds pretext-specific heads and a linear
 classifier. Parameters live in a single ParamVector whose name prefixes
 partition the bundle: "enc." (backbone), "head." (pretext head), "clf."
 (classifier). Freezing during fine-tuning operates on these prefixes.
+The encoder's EncoderConfig belongs to the pretext objective that trains
+it; every forward function takes it, with no default to fall back on.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ class EncoderConfig:
                              f"block's channels {self.blocks[-1][0]}")
 
 
-def default_encoder_config() -> EncoderConfig:
-    return EncoderConfig()
-
-
 def encoder_to_config(cfg: EncoderConfig) -> dict:
     """The JSON form of an encoder config, as plan files and model
     sidecars store it."""
@@ -53,9 +51,9 @@ def encoder_to_config(cfg: EncoderConfig) -> dict:
 
 
 def encoder_from_config(raw: dict) -> EncoderConfig:
-    """Inverse of encoder_to_config; an empty dict is the default encoder."""
+    """Inverse of encoder_to_config; {} or None is the default encoder."""
     if not raw:
-        return default_encoder_config()
+        return EncoderConfig()
     if set(raw) != {"blocks", "embedding_dim"}:
         raise ShapeError(f"encoder config needs exactly the keys blocks and "
                          f"embedding_dim, got {sorted(raw)}")
@@ -124,9 +122,8 @@ def init_bundle(kind: str, cfg: EncoderConfig, n_classes: int,
 # ---------------------------------------------------------------------------
 # forward functions (pure in (params, input))
 
-def encode(params: ParamVector, x, cfg: EncoderConfig | None = None) -> Tensor:
+def encode(params: ParamVector, x, cfg: EncoderConfig) -> Tensor:
     """Batch of windows [n, C, T] -> embeddings [n, embedding_dim]."""
-    cfg = cfg or default_encoder_config()
     h = T.as_tensor(x)
     if h.ndim != 3:
         raise ShapeError(f"encode expects [n, channels, T], got shape {h.shape}")
@@ -158,10 +155,8 @@ def split_frames(x, n_frames: int) -> Tensor:
     return T.transpose(T.reshape(x, (n, c, n_frames, fl)), (0, 2, 1, 3))
 
 
-def encode_frames(params: ParamVector, frames: Tensor,
-                  cfg: EncoderConfig | None = None) -> Tensor:
+def encode_frames(params: ParamVector, frames: Tensor, cfg: EncoderConfig) -> Tensor:
     """[n, steps, C, fl] -> per-frame embeddings [n, steps, dim]."""
-    cfg = cfg or default_encoder_config()
     n, steps, c, fl = frames.shape
     flat = T.reshape(frames, (n * steps, c, fl))
     emb = encode(params, flat, cfg)

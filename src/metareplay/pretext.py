@@ -3,8 +3,12 @@
 Three interchangeable implementations of the pretext loss behind one
 interface: contrastive views (NT-Xent over paired augmentations),
 predictive-contrastive (InfoNCE on future frame embeddings), and
-multi-task augmentation detection (per-kind binary heads). eval_ssl is
-the single entry point the pre-training and adaptation loops call.
+multi-task augmentation detection (per-kind binary heads). An objective
+describes the whole self-supervised network: its last field is the
+encoder its loss runs through, so pre-training, the meta inner loop and
+replay all build one network. Its JSON form is a plan's "pretext"
+section and a model sidecar's "pretext" entry. eval_ssl is the single
+entry point the pre-training and adaptation loops call.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from . import tensor as T
 from .augment import (AugmentKind, default_multitask_kinds, default_simclr_pipeline,
                       kind_from_config, kind_name, paired_views_batch,
                       sample_task_batch)
-from .models import (EncoderConfig, aggregate_and_predict, default_encoder_config,
-                     detect, encode, encode_frames, init_bundle, project, split_frames)
+from .models import (EncoderConfig, aggregate_and_predict, detect, encode,
+                     encode_frames, encoder_from_config, encoder_to_config,
+                     init_bundle, project, split_frames)
 from .params import ParamVector
 from .tensor import ShapeError, Tensor
 
@@ -33,6 +38,7 @@ class SimCLRObjective:
     tau: float = 0.1
     pipeline: tuple[AugmentKind, ...] = field(default_factory=default_simclr_pipeline)
     proj_dim: int = 50
+    encoder: EncoderConfig = EncoderConfig()
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -47,6 +53,7 @@ class CPCObjective:
     tau: float = 1.0
     horizon: int = 2
     frame_len: int = 32
+    encoder: EncoderConfig = EncoderConfig()
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -61,6 +68,7 @@ class CPCObjective:
 class MultiTaskObjective:
     kinds: tuple[AugmentKind, ...] = field(default_factory=default_multitask_kinds)
     apply_prob: float = 0.5
+    encoder: EncoderConfig = EncoderConfig()
 
     def __post_init__(self):
         if not self.kinds:
@@ -92,8 +100,9 @@ def min_batch(obj: PretextObjective) -> int:
 def objective_from_config(cfg: dict) -> PretextObjective:
     """Build an objective from "kind" plus any of its class's fields.
 
-    Augmentation lists are built with kind_from_config; scalars take the
-    type of the field's default, so a JSON 1 for a temperature is 1.0.
+    Augmentation lists and the encoder are built with kind_from_config
+    and encoder_from_config; scalars take the type of the field's
+    default, so a JSON 1 for a temperature is 1.0.
     """
     cfg = dict(cfg)
     kind = str(cfg.pop("kind", "simclr")).lower()
@@ -106,8 +115,12 @@ def objective_from_config(cfg: dict) -> PretextObjective:
         if f.name in cfg:
             default, value = getattr(defaults, f.name), cfg.pop(f.name)
             try:
-                kwargs[f.name] = tuple(kind_from_config(e) for e in value) \
-                    if isinstance(default, tuple) else type(default)(value)
+                if isinstance(default, EncoderConfig):
+                    kwargs[f.name] = encoder_from_config(value)
+                elif isinstance(default, tuple):
+                    kwargs[f.name] = tuple(kind_from_config(e) for e in value)
+                else:
+                    kwargs[f.name] = type(default)(value)
             except TypeError as e:          # a value of the wrong JSON type
                 raise PretextError(f"bad value for pretext {f.name}: {e}") from None
     obj = cls(**kwargs)
@@ -120,19 +133,26 @@ def objective_to_config(obj: PretextObjective) -> dict:
     cfg = {"kind": objective_kind(obj)}
     for f in fields(obj):
         value = getattr(obj, f.name)
-        cfg[f.name] = [{"kind": kind_name(k), **asdict(k)} for k in value] \
-            if isinstance(value, tuple) else value
+        if isinstance(value, EncoderConfig):
+            cfg[f.name] = encoder_to_config(value)
+        elif isinstance(value, tuple):
+            cfg[f.name] = [{"kind": kind_name(k), **asdict(k)} for k in value]
+        else:
+            cfg[f.name] = value
     return cfg
 
 
-def init_for_objective(obj: PretextObjective, cfg: EncoderConfig, n_classes: int,
-                       rng: np.random.Generator) -> ParamVector:
-    kind = objective_kind(obj)
+def init_for_objective(obj: PretextObjective, n_classes: int, rng: np.random.Generator,
+                       in_channels: int = 3) -> ParamVector:
+    """A fresh bundle of the objective's network for in_channels inputs."""
     if isinstance(obj, SimCLRObjective):
-        return init_bundle(kind, cfg, n_classes, rng, proj_dim=obj.proj_dim)
-    if isinstance(obj, CPCObjective):
-        return init_bundle(kind, cfg, n_classes, rng, horizon=obj.horizon)
-    return init_bundle(kind, cfg, n_classes, rng, n_det_heads=len(obj.kinds))
+        head = {"proj_dim": obj.proj_dim}
+    elif isinstance(obj, CPCObjective):
+        head = {"horizon": obj.horizon}
+    else:
+        head = {"n_det_heads": len(obj.kinds)}
+    return init_bundle(objective_kind(obj), obj.encoder, n_classes, rng,
+                       in_channels=in_channels, **head)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +221,7 @@ def multitask_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
 # full pipeline evaluation
 
 def eval_ssl(obj: PretextObjective, params: ParamVector, windows: np.ndarray,
-             rng: np.random.Generator, enc_cfg: EncoderConfig | None = None
-             ) -> Tensor:
+             rng: np.random.Generator) -> Tensor:
     """The scalar pretext loss of one batch of raw windows [n, C, T].
 
     Runs augmentation / frame splitting as the objective requires, then
@@ -215,16 +234,15 @@ def eval_ssl(obj: PretextObjective, params: ParamVector, windows: np.ndarray,
     n = windows.shape[0]
     if n < min_batch(obj):
         raise PretextError(f"batch of {n} below objective minimum {min_batch(obj)}")
-    enc_cfg = enc_cfg or default_encoder_config()
 
     if isinstance(obj, SimCLRObjective):
         views = paired_views_batch(windows, obj.pipeline, rng)
-        z = project(params, encode(params, views, enc_cfg))
+        z = project(params, encode(params, views, obj.encoder))
         return simclr_loss(z, obj.tau)
 
     if isinstance(obj, CPCObjective):
         frames = split_frames(windows, windows.shape[2] // obj.frame_len)
-        emb = encode_frames(params, frames, enc_cfg)
+        emb = encode_frames(params, frames, obj.encoder)
         steps = emb.shape[1]
         if obj.horizon >= steps:
             raise PretextError(f"horizon {obj.horizon} needs more than "
@@ -235,5 +253,5 @@ def eval_ssl(obj: PretextObjective, params: ParamVector, windows: np.ndarray,
         return cpc_loss(preds, targets, obj.tau)
 
     aug, labels = sample_task_batch(windows, obj.kinds, rng, obj.apply_prob)
-    logits = detect(params, encode(params, aug, enc_cfg))
+    logits = detect(params, encode(params, aug, obj.encoder))
     return multitask_loss(logits, labels)

@@ -25,7 +25,6 @@ from metareplay.harness import (PretrainHyper, leave_one_domain_out, load_plan,
 from metareplay.adapt import ReplayConfig, pretext_replay
 from metareplay.meta import MetaHyper, MetaTask, generate_tasks, meta_epoch, meta_pretrain
 from metareplay.metrics import ConfusionMatrix, aggregate, macro_f1
-from metareplay.models import default_encoder_config
 from metareplay.optim import sgd_step
 from metareplay.params import ParamVector, grad_of
 from metareplay.pretext import (SimCLRObjective, eval_ssl, init_for_objective,
@@ -124,8 +123,7 @@ def test_zero_inner_step_meta_equals_plain_training():
     ds = _tiny_dataset(n_domains=1, per_domain=24)
     pool = np.arange(24)
     obj = SimCLRObjective()
-    init = init_for_objective(obj, default_encoder_config(), ds.n_classes,
-                              np.random.default_rng(0))
+    init = init_for_objective(obj, ds.n_classes, np.random.default_rng(0))
 
     def batch_as_task(dset, p, hyper, rng):
         perm = epoch_order(p, rng)
@@ -149,8 +147,7 @@ def test_zero_inner_step_meta_equals_plain_training():
 def test_one_step_meta_update_composition():
     ds = _tiny_dataset(n_domains=1, per_domain=30)
     obj = SimCLRObjective()
-    params = init_for_objective(obj, default_encoder_config(), ds.n_classes,
-                                np.random.default_rng(1))
+    params = init_for_objective(obj, ds.n_classes, np.random.default_rng(1))
     hyper = MetaHyper(M=1, M_dom=0, K=8, inner_steps=1, alpha=5e-3, beta=1e-3,
                       outer="sgd", epochs=1)
     task = MetaTask(np.arange(8), np.arange(8, 16))
@@ -174,8 +171,7 @@ def test_one_step_meta_update_composition():
 def test_replay_contract():
     ds = _tiny_dataset(n_domains=1, per_domain=16, t=64)
     obj = SimCLRObjective()
-    params = init_for_objective(obj, default_encoder_config(), ds.n_classes,
-                                np.random.default_rng(2))
+    params = init_for_objective(obj, ds.n_classes, np.random.default_rng(2))
     shots = ds.values[:8]
 
     # steps=0: identity
@@ -285,8 +281,7 @@ def test_rerun_determinism_and_file_roundtrips(tmp_path):
     assert np.array_equal(ds.domains, ds2.domains)
     assert ds.domain_tags == ds2.domain_tags
 
-    params = init_for_objective(SimCLRObjective(), default_encoder_config(), 2,
-                                np.random.default_rng(0))
+    params = init_for_objective(SimCLRObjective(), 2, np.random.default_rng(0))
     params.save(tmp_path / "p.adp2")
     back = ParamVector.load(tmp_path / "p.adp2")
     assert back.max_abs_diff(params) == 0.0

@@ -5,6 +5,8 @@ steps=1 one step) and must never read labels; linear evaluation must
 leave everything but the classifier byte-identical.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from metareplay.adapt import (AdaptError, ConfigError, FinetuneConfig,
                               load_pretrained, pretext_replay, run_pipeline,
                               save_pretrained)
 from metareplay.data import Dataset, make_split
-from metareplay.models import default_encoder_config
+from metareplay.models import EncoderConfig, encoder_to_config
 from metareplay.optim import sgd_step
 from metareplay.params import ParamVector, grad_of
 from metareplay.pretext import (CPCObjective, SimCLRObjective, eval_ssl,
@@ -41,8 +43,7 @@ def obj():
 
 
 def params_for(obj, seed=0):
-    return init_for_objective(obj, default_encoder_config(), 4,
-                              np.random.default_rng(seed))
+    return init_for_objective(obj, 4, np.random.default_rng(seed))
 
 
 def as_bytes(params):
@@ -153,7 +154,7 @@ def test_linear_eval_freezes_everything_but_classifier(ds, obj):
     params = params_for(obj)
     shots = np.arange(8)
     bundle, log = finetune(params, ds.values[shots], ds.labels[shots],
-                           FinetuneConfig())
+                           FinetuneConfig(), obj.encoder)
     for name, t in bundle:
         if name.startswith("clf."):
             continue
@@ -167,8 +168,8 @@ def test_finetune_zero_epochs_gives_uniform_logits(ds, obj):
     params = params_for(obj)
     shots = np.arange(8)
     bundle, log = finetune(params, ds.values[shots], ds.labels[shots],
-                           FinetuneConfig(epochs=0))
-    logits = classify(bundle, encode(bundle, ds.values[:4]))
+                           FinetuneConfig(epochs=0), obj.encoder)
+    logits = classify(bundle, encode(bundle, ds.values[:4], obj.encoder))
     assert np.array_equal(logits.data, np.zeros_like(logits.data))
     assert log["accuracies"] == []
 
@@ -177,8 +178,8 @@ def test_finetune_classifier_restarts_from_zero(ds, obj):
     # a pre-existing classifier state must not leak into fine-tuning
     params = params_for(obj)
     dirty = params.map(lambda n, a: a + 1.0 if n.startswith("clf.") else a)
-    a, _ = finetune(params, ds.values[:8], ds.labels[:8], FinetuneConfig())
-    b, _ = finetune(dirty, ds.values[:8], ds.labels[:8], FinetuneConfig())
+    a, _ = finetune(params, ds.values[:8], ds.labels[:8], FinetuneConfig(), obj.encoder)
+    b, _ = finetune(dirty, ds.values[:8], ds.labels[:8], FinetuneConfig(), obj.encoder)
     assert np.array_equal(a["clf.w"].data, b["clf.w"].data)
 
 
@@ -189,7 +190,7 @@ def test_finetune_separable_shots_reach_full_training_accuracy(obj):
     values = np.concatenate([3.0 * base, 3.0 * base + 0.01], axis=0)
     labels = np.array([0, 1, 2, 3, 0, 1, 2, 3], dtype=np.int64)
     params = params_for(obj)
-    _, log = finetune(params, values, labels, FinetuneConfig())
+    _, log = finetune(params, values, labels, FinetuneConfig(), obj.encoder)
     assert log["accuracies"][-1] == 1.0
 
 
@@ -197,13 +198,13 @@ def test_finetune_missing_class_rejected(ds, obj):
     vals = ds.values[:8]
     labels = np.zeros(8, dtype=np.int64)     # only class 0 present
     with pytest.raises(AdaptError, match=r"\[1, 2, 3\]"):
-        finetune(params_for(obj), vals, labels, FinetuneConfig())
+        finetune(params_for(obj), vals, labels, FinetuneConfig(), obj.encoder)
 
 
 def test_end_to_end_trains_encoder_but_not_pretext_head(ds, obj):
     params = params_for(obj)
     bundle, _ = finetune(params, ds.values[:8], ds.labels[:8],
-                         FinetuneConfig(protocol="end_to_end", epochs=3))
+                         FinetuneConfig(protocol="end_to_end", epochs=3), obj.encoder)
     assert not np.array_equal(bundle["enc.b0.w"].data, params["enc.b0.w"].data)
     assert np.array_equal(bundle["head.proj.w"].data, params["head.proj.w"].data)
 
@@ -223,15 +224,14 @@ def test_finetune_lr_defaults():
 
 def test_pretrained_round_trip(tmp_path, obj):
     params = params_for(obj)
-    model = PretrainedModel(params=params, method="meta", objective=obj,
-                            enc_cfg=default_encoder_config(), n_classes=4)
+    model = PretrainedModel(params=params, method="meta", objective=obj, n_classes=4)
     path = tmp_path / "enc.adp2"
     save_pretrained(model, path)
     back = load_pretrained(path)
     assert back.params.max_abs_diff(params) == 0.0
     assert back.objective == obj
     assert back.method == "meta"
-    assert back.enc_cfg == default_encoder_config()
+    assert back.objective.encoder == EncoderConfig()
     assert back.n_classes == 4
 
 
@@ -245,7 +245,51 @@ def test_pretrained_missing_sidecar(tmp_path, obj):
 def test_pretrained_method_validated(obj):
     with pytest.raises(ConfigError):
         PretrainedModel(params=params_for(obj), method="scratch", objective=obj,
-                        enc_cfg=default_encoder_config(), n_classes=4)
+                        n_classes=4)
+
+
+SMALL_ENCODER = EncoderConfig(blocks=((8, 5, 2), (12, 3, 2)), embedding_dim=12)
+
+
+def test_pretrained_sidecar_keeps_the_encoder_in_pretext(tmp_path):
+    obj = CPCObjective(encoder=SMALL_ENCODER)
+    path = tmp_path / "cpc.adp2"
+    save_pretrained(PretrainedModel(params=params_for(obj), method="plain",
+                                    objective=obj, n_classes=4), path)
+    sidecar = json.loads((tmp_path / "cpc.adp2.json").read_text())
+    assert list(sidecar) == ["method", "pretext", "n_classes"]
+    assert sidecar["pretext"]["encoder"] == encoder_to_config(SMALL_ENCODER)
+    assert load_pretrained(path).objective == obj
+
+
+def test_pretrained_loads_the_old_sidecar_layout(tmp_path):
+    # before the objective carried its encoder, the sidecar kept it in a
+    # top-level "encoder" next to an encoder-less "pretext"
+    obj = SimCLRObjective(encoder=SMALL_ENCODER)
+    params = params_for(obj)
+    path = tmp_path / "old.adp2"
+    save_pretrained(PretrainedModel(params=params, method="meta", objective=obj,
+                                    n_classes=4), path)
+    sidecar = json.loads((tmp_path / "old.adp2.json").read_text())
+    encoder = sidecar["pretext"].pop("encoder")
+    (tmp_path / "old.adp2.json").write_text(json.dumps(
+        {"method": "meta", "pretext": sidecar["pretext"], "encoder": encoder,
+         "n_classes": 4}))
+    back = load_pretrained(path)
+    assert back.objective == obj
+    assert back.objective.encoder == SMALL_ENCODER
+    assert back.method == "meta" and back.n_classes == 4
+    assert back.params.max_abs_diff(params) == 0.0
+
+
+@pytest.mark.parametrize("sidecar", [{}, {"pretext": {"kind": "simclr"}},
+                                     {"method": "meta", "pretext": [1]},
+                                     {"method": "meta"}, []])
+def test_pretrained_malformed_sidecar(tmp_path, obj, sidecar):
+    params_for(obj).save(tmp_path / "bad.adp2")
+    (tmp_path / "bad.adp2.json").write_text(json.dumps(sidecar))
+    with pytest.raises(ConfigError, match="malformed model sidecar"):
+        load_pretrained(tmp_path / "bad.adp2")
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +297,7 @@ def test_pretrained_method_validated(obj):
 
 def pretrained(obj, method):
     return PretrainedModel(params=params_for(obj), method=method, objective=obj,
-                           enc_cfg=default_encoder_config(), n_classes=4)
+                           n_classes=4)
 
 
 def test_baseline_is_finetune_only(ds, obj):
@@ -262,7 +306,7 @@ def test_baseline_is_finetune_only(ds, obj):
     bundle, log = run_pipeline("baseline", model, ds, split, ReplayConfig(),
                                FinetuneConfig(), np.random.default_rng(4))
     direct, _ = finetune(model.params, ds.values[split.finetune_shots],
-                         ds.labels[split.finetune_shots], FinetuneConfig())
+                         ds.labels[split.finetune_shots], FinetuneConfig(), obj.encoder)
     assert bundle.max_abs_diff(direct) == 0.0
     assert log["replay"] is None
 

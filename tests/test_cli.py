@@ -162,3 +162,19 @@ def test_bad_inputs_exit_2(workdir, tmp_path, capsys):
                  "--split", str(workdir / "split.json"),
                  "--out", str(tmp_path / "y.npz")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["adapt", "finetune", "dump-embeddings"])
+def test_malformed_sidecar_exits_2(workdir, tmp_path, capsys, command):
+    # a sidecar without "method" is reported as an error, not a traceback
+    model = tmp_path / "model.adp2"
+    model.write_bytes((workdir / "plain.adp2").read_bytes())
+    sidecar = json.loads((workdir / "plain.adp2.json").read_text())
+    del sidecar["method"]
+    (tmp_path / "model.adp2.json").write_text(json.dumps(sidecar))
+    args = [command, "--model", str(model), "--data", str(workdir / "data.ads"),
+            "--split", str(workdir / "split.json"), "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model sidecar")
+    assert "Traceback" not in err

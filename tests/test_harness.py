@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metareplay.data import DataError
+from metareplay.data import DataError, Dataset, write_dataset
 from metareplay.harness import (PRESETS, ExperimentPlan, PlanError,
                                 PretrainHyper, SweepResult, domain_shift_study,
                                 dump_embeddings, epoch_order,
@@ -15,8 +15,8 @@ from metareplay.harness import (PRESETS, ExperimentPlan, PlanError,
                                 load_plan_dataset, plain_pretrain,
                                 pretrain_for_target, rng_for, seed_of,
                                 seed_seq)
-from metareplay.models import default_encoder_config, init_bundle
-from metareplay.pretext import SimCLRObjective, init_for_objective
+from metareplay.models import EncoderConfig, init_bundle
+from metareplay.pretext import SimCLRObjective, init_for_objective, objective_to_config
 
 
 def micro_plan_dict(**sweep_extra):
@@ -221,6 +221,16 @@ def test_fixture_config_hashes_are_pinned(name):
     assert load_plan(source).config_hash == expected
 
 
+def test_plan_pretext_section_is_the_objective_config():
+    enc = {"blocks": [[8, 5, 2], [16, 3, 1]], "embedding_dim": 16}
+    plan = load_plan({"pretext": {"kind": "cpc", "encoder": enc}})
+    assert plan.raw["pretext"] == objective_to_config(plan.objective)
+    assert plan.objective.encoder == EncoderConfig(blocks=((8, 5, 2), (16, 3, 1)),
+                                                   embedding_dim=16)
+    assert plan.enc_cfg is plan.objective.encoder
+    assert load_plan({}).enc_cfg == EncoderConfig()
+
+
 def test_normalized_plan_does_not_alias_the_spec():
     plan = load_plan(FIXTURES / "transfer_plan.json")
     recipe = plan.raw["data"]["synth"]["recipes"][1]
@@ -271,8 +281,7 @@ def test_plain_pretrain_checkpoints_argmin_epoch():
     plan = load_plan(micro_plan_dict())
     ds = load_plan_dataset(plan)
     obj = SimCLRObjective()
-    init = init_for_objective(obj, default_encoder_config(), 2,
-                              np.random.default_rng(0))
+    init = init_for_objective(obj, 2, np.random.default_rng(0))
     hyper = PretrainHyper(epochs=3, batch_size=8, lr=1e-3)
     best, log = plain_pretrain(obj, init, ds, np.arange(0, 16), np.arange(16, 24),
                                hyper, np.random.default_rng(2),
@@ -288,8 +297,7 @@ def test_plain_pretrain_empty_pool_rejected():
     plan = load_plan(micro_plan_dict())
     ds = load_plan_dataset(plan)
     obj = SimCLRObjective()
-    init = init_for_objective(obj, default_encoder_config(), 2,
-                              np.random.default_rng(0))
+    init = init_for_objective(obj, 2, np.random.default_rng(0))
     with pytest.raises(PlanError, match="no usable batch"):
         plain_pretrain(obj, init, ds, np.arange(1), np.arange(0),
                        PretrainHyper(epochs=1), np.random.default_rng(0))
@@ -360,10 +368,9 @@ def test_cell_stores_the_pipeline_record(monkeypatch):
     from metareplay.adapt import PretrainedModel, run_pipeline
     plan = load_plan(micro_plan_dict())
     ds = load_plan_dataset(plan)
-    params = init_for_objective(plan.objective, plan.enc_cfg, ds.n_classes,
-                                np.random.default_rng(0))
+    params = init_for_objective(plan.objective, ds.n_classes, np.random.default_rng(0))
     model = PretrainedModel(params=params, method="meta", objective=plan.objective,
-                            enc_cfg=plan.enc_cfg, n_classes=ds.n_classes)
+                            n_classes=ds.n_classes)
     records = []
 
     def recording(*args):
@@ -402,6 +409,25 @@ def test_sweep_runs_every_mode_on_a_custom_encoder():
     assert [c["error"] for c in res.cells] == [None] * len(res.cells)
 
 
+def test_six_channel_dataset_pretrains(tmp_path):
+    # the first conv is built for the dataset's channels, not for three
+    raw = micro_plan_dict(modes=["baseline", "replay_only", "meta_only", "full"],
+                          study_kinds=["cpc"], study_shots=1)
+    raw["data"]["synth"]["timesteps"] = 128
+    ds = load_plan_dataset(load_plan(raw))
+    six = Dataset(values=np.concatenate([ds.values, -ds.values], axis=1),
+                  labels=ds.labels, domains=ds.domains, domain_tags=ds.domain_tags,
+                  n_classes=ds.n_classes)
+    write_dataset(six, tmp_path / "six.ads")
+    raw["data"] = {"path": str(tmp_path / "six.ads"), "min_count": 10}
+    raw["pretext"] = {"kind": "cpc"}
+    plan = load_plan(raw)
+    res = leave_one_domain_out(plan)
+    assert res.n_failed == 0 and len(res.cells) == 2 * 4
+    study = domain_shift_study(plan)
+    assert set(study["kinds"]) == {"cpc"}
+
+
 def test_sweep_needs_two_domains():
     solo = micro_plan_dict()
     solo["data"]["synth"]["n_domains"] = 1
@@ -431,10 +457,9 @@ def test_shift_study_structure(tmp_path):
 def test_dump_embeddings(tmp_path):
     plan = load_plan(micro_plan_dict())
     ds = load_plan_dataset(plan)
-    params = init_bundle("simclr", default_encoder_config(), 2,
-                         np.random.default_rng(0))
+    params = init_bundle("simclr", EncoderConfig(), 2, np.random.default_rng(0))
     path = tmp_path / "emb.csv"
-    dump_embeddings(params, ds, path, indices=np.arange(5))
+    dump_embeddings(params, ds, path, EncoderConfig(), indices=np.arange(5))
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 6
     assert lines[0].startswith("domain,label,e0,")

@@ -17,7 +17,6 @@ from metareplay.meta import (MetaError, MetaHyper, MetaTask, generate_tasks,
 from metareplay.optim import adam_step, sgd_step
 from metareplay.params import grad_of
 from metareplay.pretext import SimCLRObjective, eval_ssl, init_for_objective
-from metareplay.models import default_encoder_config
 
 
 def tiny_dataset(rng, n_per_domain=40, n_domains=3, t=32):
@@ -41,8 +40,7 @@ def obj():
 
 
 def small_params(obj, seed=0):
-    return init_for_objective(obj, default_encoder_config(), 4,
-                              np.random.default_rng(seed))
+    return init_for_objective(obj, 4, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------

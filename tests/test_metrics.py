@@ -7,7 +7,7 @@ import pytest
 from metareplay.metrics import (ConfusionMatrix, MetricsError, accuracy,
                                 aggregate, evaluate, macro_f1, per_class_f1,
                                 predict)
-from metareplay.models import default_encoder_config, init_bundle
+from metareplay.models import EncoderConfig, init_bundle
 
 
 def cm(rows):
@@ -123,13 +123,13 @@ def test_empty_matrix_rejected():
 def test_predict_tie_breaks_low_and_preserves_order():
     rng = np.random.default_rng(5)
     windows = rng.uniform(-1, 1, size=(7, 3, 64)).astype(np.float32)
-    bundle = init_bundle("simclr", default_encoder_config(), 3,
+    bundle = init_bundle("simclr", EncoderConfig(), 3,
                          np.random.default_rng(0))
     # zero classifier -> all logits equal -> everything class 0
-    preds = predict(bundle, windows)
+    preds = predict(bundle, windows, EncoderConfig())
     assert preds.tolist() == [0] * 7
     # per-window batching must not change results
-    one_by_one = np.concatenate([predict(bundle, windows[i:i + 1])
+    one_by_one = np.concatenate([predict(bundle, windows[i:i + 1], EncoderConfig())
                                  for i in range(7)])
     assert np.array_equal(preds, one_by_one)
 
@@ -137,23 +137,23 @@ def test_predict_tie_breaks_low_and_preserves_order():
 def test_predict_small_batch_matches_big_batch():
     rng = np.random.default_rng(6)
     windows = rng.uniform(-1, 1, size=(9, 3, 64)).astype(np.float32)
-    bundle = init_bundle("simclr", default_encoder_config(), 4,
+    bundle = init_bundle("simclr", EncoderConfig(), 4,
                          np.random.default_rng(1))
     bundle = bundle.map(lambda n, a: np.asarray(
         np.random.default_rng(2).normal(size=a.shape), np.float32)
         if n == "clf.w" else a)
-    assert np.array_equal(predict(bundle, windows, batch=4),
-                          predict(bundle, windows, batch=256))
+    assert np.array_equal(predict(bundle, windows, EncoderConfig(), batch=4),
+                          predict(bundle, windows, EncoderConfig(), batch=256))
 
 
 def test_predict_records_no_graph():
     import tracemalloc
     windows = np.random.default_rng(8).standard_normal((256, 3, 256)).astype(np.float32)
-    bundle = init_bundle("simclr", default_encoder_config(), 4,
+    bundle = init_bundle("simclr", EncoderConfig(), 4,
                          np.random.default_rng(0))
     tracemalloc.start()
     try:
-        predict(bundle, windows)
+        predict(bundle, windows, EncoderConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -165,9 +165,10 @@ def test_evaluate_report_fields():
     rng = np.random.default_rng(7)
     windows = rng.uniform(-1, 1, size=(10, 3, 64)).astype(np.float32)
     labels = np.zeros(10, dtype=np.int64)
-    bundle = init_bundle("simclr", default_encoder_config(), 2,
+    bundle = init_bundle("simclr", EncoderConfig(), 2,
                          np.random.default_rng(1))
-    rep = evaluate(bundle, windows, labels, 2, seed=11, config_hash="abc")
+    rep = evaluate(bundle, windows, labels, 2, seed=11, config_hash="abc",
+                   encoder=EncoderConfig())
     # zero classifier predicts class 0 everywhere; labels are all 0
     assert rep.macro_f1 == 1.0 and rep.accuracy == 1.0
     assert rep.n == 10 and rep.seed == 11 and rep.config_hash == "abc"

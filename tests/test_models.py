@@ -7,11 +7,14 @@ import pytest
 
 from metareplay import tensor as T
 from metareplay.models import (EncoderConfig, aggregate_and_predict, classify,
-                               default_encoder_config, encode, encode_frames,
+                               encode, encode_frames,
                                encoder_from_config, encoder_to_config, init_bundle,
                                project, split_frames)
 from metareplay.params import ParamVector
 from metareplay.tensor import ShapeError, Tensor
+
+
+ENC = EncoderConfig()
 
 
 @pytest.fixture
@@ -21,7 +24,7 @@ def rng():
 
 def bundle(kind="simclr", rng=None, n_classes=4):
     rng = rng or np.random.default_rng(21)
-    return init_bundle(kind, default_encoder_config(), n_classes, rng)
+    return init_bundle(kind, ENC, n_classes, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +33,7 @@ def bundle(kind="simclr", rng=None, n_classes=4):
 def test_encode_output_shape(rng):
     params = bundle(rng=rng)
     x = rng.uniform(-1, 1, size=(8, 3, 256)).astype(np.float32)
-    emb = encode(params, x)
+    emb = encode(params, x, ENC)
     assert emb.shape == (8, 96)
     assert np.isfinite(emb.data).all()
 
@@ -55,7 +58,7 @@ def test_identical_windows_identical_rows(rng):
     params = bundle(rng=rng)
     w = rng.uniform(-1, 1, size=(1, 3, 256)).astype(np.float32)
     x = np.concatenate([w, w], axis=0)
-    emb = encode(params, x).data
+    emb = encode(params, x, ENC).data
     np.testing.assert_array_equal(emb[0], emb[1])
 
 
@@ -63,13 +66,13 @@ def test_zero_encoder_gives_zero_embeddings(rng):
     params = bundle(rng=rng).map(lambda n, a: np.zeros_like(a)
                                  if n.startswith("enc.") else a)
     x = rng.uniform(-1, 1, size=(4, 3, 256)).astype(np.float32)
-    np.testing.assert_array_equal(encode(params, x).data, 0.0)
+    np.testing.assert_array_equal(encode(params, x, ENC).data, 0.0)
 
 
 def test_encode_rejects_wrong_rank(rng):
     params = bundle(rng=rng)
     with pytest.raises(ShapeError):
-        encode(params, np.zeros((3, 256), dtype=np.float32))
+        encode(params, np.zeros((3, 256), dtype=np.float32), ENC)
 
 
 def test_pooling_stage_permutation_invariant(rng):
@@ -131,7 +134,7 @@ def test_encode_frames_shape(rng):
     params = bundle("cpc", rng=rng)
     x = rng.uniform(-1, 1, size=(2, 3, 256)).astype(np.float32)
     frames = split_frames(T.as_tensor(x), 8)
-    emb = encode_frames(params, frames)
+    emb = encode_frames(params, frames, ENC)
     assert emb.shape == (2, 8, 96)
 
 
@@ -184,7 +187,7 @@ def test_encoder_config_json_round_trip():
     raw = json.loads(json.dumps(encoder_to_config(cfg)))
     assert raw == {"blocks": [[16, 5, 2], [24, 3, 1]], "embedding_dim": 24}
     assert encoder_from_config(raw) == cfg
-    assert encoder_from_config({}) == default_encoder_config()
+    assert encoder_from_config({}) == EncoderConfig()
     with pytest.raises(ShapeError, match="exactly the keys"):
         encoder_from_config({**raw, "depth": 2})
     with pytest.raises(ShapeError, match="exactly the keys"):
@@ -193,13 +196,13 @@ def test_encoder_config_json_round_trip():
 
 def test_bundle_rejects_unknown_kind(rng):
     with pytest.raises(ValueError):
-        init_bundle("masked", default_encoder_config(), 4, rng)
+        init_bundle("masked", ENC, 4, rng)
 
 
 def test_gradients_reach_every_encoder_param(rng):
     params = bundle(rng=rng)
     x = rng.uniform(-1, 1, size=(2, 3, 256)).astype(np.float32)
-    loss = T.mean(encode(params, x))
+    loss = T.mean(encode(params, x, ENC))
     from metareplay.params import grad_of
     grads = grad_of(loss, params)
     for name, t in grads:

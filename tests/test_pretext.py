@@ -10,7 +10,7 @@ import pytest
 
 from metareplay import tensor as T
 from metareplay.augment import Jitter, Negate, Permute, Scale
-from metareplay.models import default_encoder_config, init_bundle
+from metareplay.models import EncoderConfig, encoder_to_config
 from metareplay.pretext import (CPCObjective, MultiTaskObjective, PretextError,
                                 SimCLRObjective, cpc_loss, eval_ssl,
                                 init_for_objective, min_batch, multitask_loss,
@@ -202,8 +202,7 @@ def windows_batch(rng, n=6):
 def test_eval_ssl_deterministic_per_seed(rng):
     for obj in (SimCLRObjective(), CPCObjective(),
                 MultiTaskObjective(kinds=(Negate(), Jitter(0.05)))):
-        params = init_for_objective(obj, default_encoder_config(), 4,
-                                    np.random.default_rng(1))
+        params = init_for_objective(obj, 4, np.random.default_rng(1))
         wins = windows_batch(rng)
         a = eval_ssl(obj, params, wins, np.random.default_rng(42))
         b = eval_ssl(obj, params, wins, np.random.default_rng(42))
@@ -217,8 +216,7 @@ def test_eval_ssl_simclr_identity_pipeline_reduces_to_identical_views(rng):
     # projections coincide pairwise; with every window ALSO identical the
     # batch reduces to the all-identical oracle ln(2n-1)
     obj = SimCLRObjective(pipeline=(Jitter(0.0), Scale(1.0, 1.0), Permute(1)))
-    params = init_for_objective(obj, default_encoder_config(), 4,
-                                np.random.default_rng(2))
+    params = init_for_objective(obj, 4, np.random.default_rng(2))
     one = rng.uniform(-0.5, 0.5, size=(1, 3, 256)).astype(np.float32)
     wins = np.repeat(one, 4, axis=0)
     out = eval_ssl(obj, params, wins, np.random.default_rng(0))
@@ -227,8 +225,7 @@ def test_eval_ssl_simclr_identity_pipeline_reduces_to_identical_views(rng):
 
 def test_eval_ssl_multitask_p_zero_zero_heads_ln2(rng):
     obj = MultiTaskObjective(kinds=(Negate(), Jitter(0.05)), apply_prob=0.0)
-    params = init_for_objective(obj, default_encoder_config(), 4,
-                                np.random.default_rng(3))
+    params = init_for_objective(obj, 4, np.random.default_rng(3))
     params = params.map(lambda n, a: np.zeros_like(a)
                         if n.startswith("head.") else a)
     out = eval_ssl(obj, params, windows_batch(rng), np.random.default_rng(0))
@@ -237,8 +234,7 @@ def test_eval_ssl_multitask_p_zero_zero_heads_ln2(rng):
 
 def test_eval_ssl_batch_too_small(rng):
     obj = SimCLRObjective()
-    params = init_for_objective(obj, default_encoder_config(), 4,
-                                np.random.default_rng(4))
+    params = init_for_objective(obj, 4, np.random.default_rng(4))
     with pytest.raises(PretextError):
         eval_ssl(obj, params, windows_batch(rng, n=1), np.random.default_rng(0))
 
@@ -261,6 +257,28 @@ def test_objective_config_round_trip():
     mt = objective_to_config(objective_from_config({"kind": "multitask",
                                                     "apply_prob": 1}))
     assert type(mt["apply_prob"]) is float
+
+
+def test_objective_carries_its_encoder():
+    enc = EncoderConfig(blocks=((8, 5, 2), (12, 3, 2)), embedding_dim=12)
+    for cls in (SimCLRObjective, CPCObjective, MultiTaskObjective):
+        assert cls().encoder == EncoderConfig()
+        obj = cls(encoder=enc)
+        cfg = objective_to_config(obj)
+        assert list(cfg)[-1] == "encoder"
+        assert cfg["encoder"] == encoder_to_config(enc)
+        assert objective_from_config(cfg) == obj
+        for empty in (None, {}):                 # the default encoder
+            assert objective_from_config({**cfg, "encoder": empty}) == cls()
+        params = init_for_objective(obj, 4, np.random.default_rng(0), in_channels=6)
+        assert params["enc.b0.w"].shape == (8, 6, 5)
+        assert params["clf.w"].shape == (12, 4)
+    cpc = CPCObjective(encoder=enc)
+    windows = np.random.default_rng(1).uniform(-1, 1, (3, 6, 128)).astype(np.float32)
+    params = init_for_objective(cpc, 4, np.random.default_rng(0), in_channels=6)
+    assert np.isfinite(eval_ssl(cpc, params, windows, np.random.default_rng(2)).item())
+    with pytest.raises(PretextError, match="bad value for pretext encoder"):
+        objective_from_config({"kind": "cpc", "encoder": {"blocks": 3, "embedding_dim": 8}})
 
 
 def test_objective_from_config_rejects_unknown_keys():

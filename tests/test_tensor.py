@@ -398,16 +398,15 @@ def test_backward_leaves_a_held_op_output_intact(rng):
 def _simclr_batch64():
     """Default SimCLR bundle, a batch of 64 256-sample windows and a
     training step that does not hold its loss across steps."""
-    from metareplay.models import default_encoder_config
     from metareplay.optim import adam_step
     from metareplay.params import grad_of
     from metareplay.pretext import SimCLRObjective, eval_ssl, init_for_objective
-    cfg, obj = default_encoder_config(), SimCLRObjective()
-    params = init_for_objective(obj, cfg, 4, np.random.default_rng(0))
+    obj = SimCLRObjective()
+    params = init_for_objective(obj, 4, np.random.default_rng(0))
     x = np.random.default_rng(1).standard_normal((64, 3, 256)).astype(np.float32)
 
     def loss_of(params, seed):
-        return eval_ssl(obj, params, x, np.random.default_rng(seed), cfg)
+        return eval_ssl(obj, params, x, np.random.default_rng(seed))
 
     def step(params, state, seed):
         return adam_step(params, grad_of(loss_of(params, seed), params), state, lr=1e-3)
