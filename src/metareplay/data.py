@@ -194,10 +194,13 @@ def compute_norm_stats(values: np.ndarray) -> NormStats:
 
 
 def apply_norm(ds: Dataset, stats: NormStats, clip: bool = True) -> Dataset:
-    v = (ds.values - stats.mid[None, :, None]) * stats.scale[None, :, None]
+    """A copy of ds mapped by stats, clipped to [-1, 1] unless clip is
+    False; one float32 buffer is built and scaled and clipped in place."""
+    v = ds.values - stats.mid[None, :, None]
+    v *= stats.scale[None, :, None]
     if clip:
-        v = np.clip(v, -1.0, 1.0)
-    return replace(ds, values=v.astype(np.float32), norm=stats)
+        np.clip(v, -1.0, 1.0, out=v)
+    return replace(ds, values=v, norm=stats)
 
 
 def normalize(ds: Dataset) -> Dataset:
@@ -371,55 +374,79 @@ def _class_directions(c: int, n_classes: int, da1: float = 0.0,
     return u1 / np.linalg.norm(u1), u2 / np.linalg.norm(u2)
 
 
-def _class_signal(spec: SynthSpec, c: int, phase: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """One draw of class c's template: two sinusoids at mildly class-specific
-    frequencies, each oscillating along a class-specific channel direction,
-    under a slow envelope carrying no class information. Frequency spacing
-    between adjacent classes is comparable to the per-draw jitter, so
-    orientation rather than frequency carries most of the class identity."""
-    t = np.linspace(0.0, 2.0 * np.pi, spec.timesteps, endpoint=False)
-    da1, da2 = 0.3 * rng.standard_normal(2)
-    u1, u2 = _class_directions(c, spec.n_classes, da1, da2)
+def _class_templates(spec: SynthSpec, c: int, seed: int
+                     ) -> tuple[np.ndarray, ...]:
+    """The phase-free templates of class c's S = samples_per_class draws:
+    the directions u1 and 0.8 * u2 [S, 3], the sinusoid arguments [S, T]
+    before the domain phase, the amplitudes [S] and the envelopes [S, T].
+
+    One draw: two sinusoids at mildly class-specific frequencies, each
+    oscillating along a class-specific channel direction, under a slow
+    envelope carrying no class information. Frequency spacing between
+    adjacent classes is comparable to the per-draw jitter, so orientation
+    rather than frequency carries most of the class identity. Draw s comes
+    from its own generator keyed by (seed, c, s), in the order direction
+    wobble, phases, frequency jitter, amplitude.
+    """
+    n, t_len = spec.samples_per_class, spec.timesteps
+    t = np.linspace(0.0, 2.0 * np.pi, t_len, endpoint=False)
     f1 = 4.0 + 0.15 * c
     f2 = 7.5 + 0.2 * c
-    p1, p2, pe = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    j1, j2 = 1.0 + 0.08 * rng.standard_normal(2)
-    amp = 1.0 + 0.3 * rng.standard_normal()
-    x = (u1[:, None] * np.sin(f1 * j1 * t[None, :] + p1 + phase)
-         + 0.8 * u2[:, None] * np.sin(f2 * j2 * t[None, :] + p2 + phase))
-    env = 0.7 + 0.3 * np.sin(t + pe)
-    return amp * x * env[None, :]
+    u1, u2 = np.empty((n, 3)), np.empty((n, 3))
+    arg1, arg2, env = np.empty((n, t_len)), np.empty((n, t_len)), np.empty((n, t_len))
+    amp = np.empty(n)
+    for s in range(n):
+        rng = np.random.default_rng([seed, c, s])
+        da1, da2 = 0.3 * rng.standard_normal(2)
+        u1[s], u2[s] = _class_directions(c, spec.n_classes, da1, da2)
+        p1, p2, pe = rng.uniform(0.0, 2.0 * np.pi, size=3)
+        j1, j2 = 1.0 + 0.08 * rng.standard_normal(2)
+        amp[s] = 1.0 + 0.3 * rng.standard_normal()
+        arg1[s] = f1 * j1 * t + p1
+        arg2[s] = f2 * j2 * t + p2
+        env[s] = 0.7 + 0.3 * np.sin(t + pe)
+    return u1, 0.8 * u2, arg1, arg2, amp, env
 
 
 def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
     """Balanced multi-domain dataset where every domain shares the class
     templates but sees them rotated, scaled, phase-shifted, and noised.
 
-    Sample-level randomness is keyed by (seed, class, sample) so that two
-    domains with identity recipes contain identical windows.
+    Windows are ordered (domain, class, sample), so window
+    (d * n_classes + c) * samples_per_class + s is draw s of class c in
+    domain d. The template of (class c, sample s) is drawn once from a
+    generator keyed by (seed, c, s) and shared by every domain, so two
+    domains with identity recipes contain identical windows. The noise of
+    a window is keyed by (seed, 7919, d, c, s).
+
+    The work runs per class: the class's templates once (_class_templates),
+    then one [samples_per_class, 3, T] float64 block per domain. A block
+    adds the domain's phase, takes the sines, applies the amplitude and
+    envelope, the rotation, the gain and channel gains and the noise, in
+    that order, and is cast to float32 into the dataset. No float64 array
+    larger than one block is built.
     """
-    n_dom = len(spec.domains)
-    total = n_dom * spec.n_classes * spec.samples_per_class
-    values = np.empty((total, 3, spec.timesteps), dtype=np.float32)
-    labels = np.empty(total, dtype=np.int16)
-    domains = np.empty(total, dtype=np.uint16)
-    i = 0
-    for d, recipe in enumerate(spec.domains):
-        rot = _axis_rotation(recipe.rotation_axis, recipe.rotation_deg)
-        cg = np.asarray(recipe.channel_gains, dtype=np.float64)[:, None]
-        for c in range(spec.n_classes):
-            for s in range(spec.samples_per_class):
-                rng_s = np.random.default_rng([seed, c, s])
-                x = _class_signal(spec, c, recipe.phase, rng_s)
-                x = recipe.gain * cg * (rot @ x)
-                if recipe.noise_sigma > 0:
+    n_dom, n_cls, n = len(spec.domains), spec.n_classes, spec.samples_per_class
+    values = np.empty((n_dom * n_cls * n, 3, spec.timesteps), dtype=np.float32)
+    rots = [_axis_rotation(r.rotation_axis, r.rotation_deg) for r in spec.domains]
+    gains = [r.gain * np.asarray(r.channel_gains, dtype=np.float64)[:, None]
+             for r in spec.domains]
+    for c in range(n_cls):
+        u1, u2, arg1, arg2, amp, env = _class_templates(spec, c, seed)
+        for d, recipe in enumerate(spec.domains):
+            x = u1[:, :, None] * np.sin(arg1 + recipe.phase)[:, None, :]
+            x += u2[:, :, None] * np.sin(arg2 + recipe.phase)[:, None, :]
+            x *= amp[:, None, None]
+            x *= env[:, None, :]
+            x = gains[d] * (rots[d] @ x)
+            if recipe.noise_sigma > 0:
+                for s in range(n):
                     rng_n = np.random.default_rng([seed, 7919, d, c, s])
-                    x = x + recipe.noise_sigma * rng_n.standard_normal(x.shape)
-                values[i] = x.astype(np.float32)
-                labels[i] = c
-                domains[i] = d
-                i += 1
+                    x[s] += recipe.noise_sigma * rng_n.standard_normal(x.shape[1:])
+            lo = (d * n_cls + c) * n
+            values[lo:lo + n] = x
+    labels = np.tile(np.repeat(np.arange(n_cls, dtype=np.int16), n), n_dom)
+    domains = np.repeat(np.arange(n_dom, dtype=np.uint16), n_cls * n)
     tags = tuple(f"synth{d}" for d in range(n_dom))
     return Dataset(values, labels, domains, tags, spec.n_classes)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import traceback
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -22,6 +23,7 @@ import numpy as np
 
 from .adapt import (FinetuneConfig, PretrainedModel, ReplayConfig, _MODE_NEEDS, MODES,
                     META, run_pipeline)
+from .augment import Rotate3D
 from .data import (Dataset, DomainRecipe, SynthSpec, compute_norm_stats,
                    apply_norm, default_synth_spec, exclude_small_domains, make_split,
                    pool_split, read_csv_dataset, read_dataset, stratified_shot_split)
@@ -32,7 +34,7 @@ from .optim import adam_step
 from .params import ParamVector, grad_of
 from .pretext import (OBJECTIVES, PretextError, PretextObjective, eval_ssl,
                       init_for_objective, min_batch, objective_from_config,
-                      objective_to_config)
+                      objective_kind, objective_to_config)
 
 
 class PlanError(ValueError):
@@ -319,6 +321,29 @@ def load_plan_dataset(plan: ExperimentPlan) -> Dataset:
     return ds
 
 
+def _sweep_dataset(plan: ExperimentPlan, objectives, what: str) -> Dataset:
+    """The plan's dataset, checked before any pre-training: at least two
+    domains, and every objective able to augment its windows.
+
+    Rotate3D (in a SimCLR pipeline or a multitask kind list) rotates
+    exactly 3 channels. An objective that holds it on a dataset with any
+    other channel count raises PlanError rather than running without it:
+    the plan's normalized form and config hash name the augmentations,
+    so silently dropping one would file the results under an objective
+    that never ran. A plan for such a dataset lists its own pipeline or
+    kinds.
+    """
+    ds = load_plan_dataset(plan)
+    if ds.n_domains < 2:
+        raise PlanError(f"{what} needs >= 2 domains, have {ds.n_domains}")
+    for objective in objectives:
+        augments = getattr(objective, "pipeline", ()) + getattr(objective, "kinds", ())
+        if ds.channels != 3 and any(isinstance(a, Rotate3D) for a in augments):
+            raise PlanError(f"{objective_kind(objective)} pretext holds Rotate3D, which "
+                            f"needs 3 channels; the dataset has {ds.channels}")
+    return ds
+
+
 # ---------------------------------------------------------------------------
 # plain pre-training
 
@@ -454,6 +479,7 @@ def _run_cell(plan: ExperimentPlan, dsn: Dataset, ds: Dataset,
         cell["finetune"] = record["finetune"]
     except Exception as e:                       # noqa: BLE001 - cell isolation
         cell["error"] = f"{type(e).__name__}: {e}"
+        cell["traceback"] = traceback.format_exc(limit=-3)
     return cell
 
 
@@ -462,12 +488,9 @@ def leave_one_domain_out(plan: ExperimentPlan,
     """The main experiment: rotate every domain into the target position,
     pre-train on the rest, adapt and fine-tune per (shots, seed, mode),
     and report macro-F1 averaged over seeds within a domain and then over
-    domains. A failing cell is recorded with its error and the sweep
-    continues."""
-    ds = load_plan_dataset(plan)
-    if ds.n_domains < 2:
-        raise PlanError(f"leave-one-domain-out needs >= 2 domains, "
-                        f"have {ds.n_domains}")
+    domains. A failing cell is recorded with its error and the last
+    frames of its traceback, and the sweep continues."""
+    ds = _sweep_dataset(plan, [plan.objective], "leave-one-domain-out")
     out_path = Path(out_dir) if out_dir else None
     if out_path:
         (out_path / "checkpoints").mkdir(parents=True, exist_ok=True)
@@ -552,14 +575,13 @@ def domain_shift_study(plan: ExperimentPlan,
     domains (out-of-domain), fine-tune both identically on the same shot
     sets, and report the F1 drop in percentage points (positive =
     out-of-domain degradation)."""
-    ds = load_plan_dataset(plan)
-    if ds.n_domains < 2:
-        raise PlanError("shift study needs >= 2 domains")
+    objectives = {kind: replace(objective_from_config({"kind": kind}),
+                                encoder=plan.objective.encoder)
+                  for kind in plan.study_kinds}
+    ds = _sweep_dataset(plan, objectives.values(), "shift study")
     k = plan.study_shots
     results: dict = {"config_hash": plan.config_hash, "kinds": {}}
-    for kind in plan.study_kinds:
-        objective = replace(objective_from_config({"kind": kind}),
-                            encoder=plan.objective.encoder)
+    for kind, objective in objectives.items():
         per_domain = []
         for d in range(ds.n_domains):
             idx_d = ds.domain_indices(d)

@@ -54,6 +54,8 @@ def encoder_from_config(raw: dict) -> EncoderConfig:
     """Inverse of encoder_to_config; {} or None is the default encoder."""
     if not raw:
         return EncoderConfig()
+    if not isinstance(raw, dict):
+        raise ShapeError(f"encoder config must be a JSON object, got {raw!r}")
     if set(raw) != {"blocks", "embedding_dim"}:
         raise ShapeError(f"encoder config needs exactly the keys blocks and "
                          f"embedding_dim, got {sorted(raw)}")

@@ -102,7 +102,8 @@ def objective_from_config(cfg: dict) -> PretextObjective:
 
     Augmentation lists and the encoder are built with kind_from_config
     and encoder_from_config; scalars take the type of the field's
-    default, so a JSON 1 for a temperature is 1.0.
+    default, so a JSON 1 for a temperature is 1.0. A value that its
+    builder or type rejects raises PretextError.
     """
     cfg = dict(cfg)
     kind = str(cfg.pop("kind", "simclr")).lower()
@@ -121,7 +122,7 @@ def objective_from_config(cfg: dict) -> PretextObjective:
                     kwargs[f.name] = tuple(kind_from_config(e) for e in value)
                 else:
                     kwargs[f.name] = type(default)(value)
-            except TypeError as e:          # a value of the wrong JSON type
+            except (TypeError, ValueError) as e:    # wrong JSON type, or rejected
                 raise PretextError(f"bad value for pretext {f.name}: {e}") from None
     obj = cls(**kwargs)
     if cfg:

@@ -1,7 +1,9 @@
 """Windowing, normalization, splits, the synthetic generator, file formats."""
 
+import hashlib
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from metareplay.data import (DataError, Dataset, DomainRecipe, SplitPlan,
                              read_csv_dataset, read_dataset,
                              stratified_shot_split, synth_generate,
                              windowize, write_csv_dataset, write_dataset)
+from metareplay.data import _axis_rotation, _class_directions
+from metareplay.harness import load_plan
 
 
 def small_synth(seed=3, spc=12, n_domains=3):
@@ -92,6 +96,23 @@ def test_apply_norm_clips_out_of_pool_values():
     out = apply_norm(wild, stats)
     assert out.values.max() <= 1.0
     assert out.values.min() >= -1.0
+
+
+def test_apply_norm_matches_the_expression_and_leaves_input_alone():
+    ds = small_synth(spc=4)
+    before = ds.values.copy()
+    stats = compute_norm_stats(ds.values[:20])      # other windows leave [-1, 1]
+    mid, scale = stats.mid[None, :, None], stats.scale[None, :, None]
+    for clip in (True, False):
+        expected = (ds.values - mid) * scale
+        if clip:
+            expected = np.clip(expected, -1.0, 1.0)
+        out = apply_norm(ds, stats, clip=clip)
+        assert out.values.dtype == np.float32
+        assert out.values.tobytes() == expected.astype(np.float32).tobytes()
+        assert out.norm is stats
+    assert np.abs(apply_norm(ds, stats, clip=False).values).max() > 1.0
+    np.testing.assert_array_equal(ds.values, before)
 
 
 def test_norm_rejects_nan():
@@ -268,6 +289,71 @@ def test_synth_deterministic_per_seed():
     np.testing.assert_array_equal(a.values, b.values)
     c = synth_generate(spec, seed=9)
     assert not np.array_equal(a.values, c.values)
+
+
+def _reference_window(spec, recipe, seed, d, c, s):
+    """One window computed on its own, drawing its template from the
+    (seed, c, s) stream exactly as synth_generate does once per draw."""
+    t = np.linspace(0.0, 2.0 * np.pi, spec.timesteps, endpoint=False)
+    rng = np.random.default_rng([seed, c, s])
+    da1, da2 = 0.3 * rng.standard_normal(2)
+    u1, u2 = _class_directions(c, spec.n_classes, da1, da2)
+    f1 = 4.0 + 0.15 * c
+    f2 = 7.5 + 0.2 * c
+    p1, p2, pe = rng.uniform(0.0, 2.0 * np.pi, size=3)
+    j1, j2 = 1.0 + 0.08 * rng.standard_normal(2)
+    amp = 1.0 + 0.3 * rng.standard_normal()
+    x = (u1[:, None] * np.sin(f1 * j1 * t[None, :] + p1 + recipe.phase)
+         + 0.8 * u2[:, None] * np.sin(f2 * j2 * t[None, :] + p2 + recipe.phase))
+    env = 0.7 + 0.3 * np.sin(t + pe)
+    x = amp * x * env[None, :]
+    rot = _axis_rotation(recipe.rotation_axis, recipe.rotation_deg)
+    cg = np.asarray(recipe.channel_gains, dtype=np.float64)[:, None]
+    x = recipe.gain * cg * (rot @ x)
+    if recipe.noise_sigma > 0:
+        rng_n = np.random.default_rng([seed, 7919, d, c, s])
+        x = x + recipe.noise_sigma * rng_n.standard_normal(x.shape)
+    return x.astype(np.float32)
+
+
+def test_synth_matches_per_window_reference():
+    spec = SynthSpec(domains=(
+        DomainRecipe(rotation_deg=40.0, rotation_axis=0, gain=1.3,
+                     channel_gains=(0.7, 1.2, 2.0), noise_sigma=0.1, phase=0.4),
+        DomainRecipe(rotation_deg=-75.0, rotation_axis=1, gain=0.6,
+                     channel_gains=(1.5, 0.5, 1.1), noise_sigma=0.0, phase=-1.3),
+        DomainRecipe(rotation_deg=110.0, rotation_axis=2, gain=1.1,
+                     channel_gains=(1.0, 0.8, 1.4), noise_sigma=0.3, phase=2.2)),
+        n_classes=3, samples_per_class=5, timesteps=48)
+    seed = 17
+    ds = synth_generate(spec, seed)
+    i = 0
+    for d, recipe in enumerate(spec.domains):
+        for c in range(spec.n_classes):
+            for s in range(spec.samples_per_class):
+                assert ds.labels[i] == c and ds.domains[i] == d
+                assert np.array_equal(ds.values[i],
+                                      _reference_window(spec, recipe, seed, d, c, s))
+                i += 1
+    assert i == ds.n_windows
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# sha256 of values, labels and domains of the fixture plans' dataset
+FIXTURE_DIGESTS = (
+    "fa3411daa4d0972ab768c0ba379e1764a5bfe26cc353e71fc5f9dbe45d0b7252",
+    "ddcce7b12f3ce01bcf4f3335bb3699f2a71559bdbc8409e929249a01d18cef59",
+    "d81a548a7ffd13598e4ca0cb72005aeb5753a417f15f90809e72880c91d6f7fb",
+)
+
+
+@pytest.mark.parametrize("name", ["transfer_plan", "study_plan"])
+def test_synth_fixture_datasets_are_pinned(name):
+    plan = load_plan(FIXTURES / f"{name}.json")
+    ds = synth_generate(plan.synth_spec, plan.synth_seed)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                 for a in (ds.values, ds.labels, ds.domains)) == FIXTURE_DIGESTS
 
 
 def test_synth_recipe_validation():

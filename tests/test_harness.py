@@ -104,7 +104,11 @@ def test_mode_shot_seed_validation():
                 {"pretext": {"kind": "cpc", "tau": None}},
                 {"pretext": {"kind": "simclr", "pipeline": [3]}},
                 {"data": {"synth": {"n_domains": None}}},
-                {"pretext": {"encoder": {"blocks": 3, "embedding_dim": 8}}}):
+                {"pretext": {"encoder": {"blocks": 3, "embedding_dim": 8}}},
+                # encoders that EncoderConfig rejects: not a ShapeError
+                {"pretext": {"encoder": {"blocks": [[8, 5, 2]], "embedding_dim": 9}}},
+                {"pretext": {"encoder": {"blocks": [], "embedding_dim": 8}}},
+                {"pretext": {"encoder": "abc"}}):
         with pytest.raises(PlanError, match="bad value"):
             load_plan(bad)
     # a non-string data path fails at parse time, before it reaches plan.raw
@@ -390,6 +394,30 @@ def test_cell_stores_the_pipeline_record(monkeypatch):
     assert cell["finetune"] == record["finetune"]
 
 
+def test_failed_cell_keeps_its_traceback(monkeypatch):
+    from metareplay import harness
+    plan = load_plan(micro_plan_dict())
+    clean = leave_one_domain_out(plan)
+    real = harness.run_pipeline
+
+    def failing(mode, pretrained, dsn, split, *rest):
+        if mode == "full" and split.target_domain.id == 1:
+            raise RuntimeError("replay diverged")
+        return real(mode, pretrained, dsn, split, *rest)
+
+    monkeypatch.setattr(harness, "run_pipeline", failing)
+    res = leave_one_domain_out(plan)
+    (bad,) = [c for c in res.cells if c["error"] is not None]
+    assert (bad["domain"], bad["mode"]) == (1, "full")
+    assert bad["error"] == "RuntimeError: replay diverged"
+    assert "in failing" in bad["traceback"]
+    assert bad["traceback"].rstrip().endswith("RuntimeError: replay diverged")
+    # every cell that did not fail is exactly what it is without the failure
+    assert [c for c in res.cells if c is not bad] == \
+        [c for c in clean.cells if (c["domain"], c["mode"]) != (1, "full")]
+    assert all("traceback" not in c for c in clean.cells)
+
+
 def test_failing_cells_are_isolated():
     # 40 shots per class cannot be cut from a 24-window domain: every
     # cell fails, the sweep itself must survive and say so
@@ -426,6 +454,15 @@ def test_six_channel_dataset_pretrains(tmp_path):
     assert res.n_failed == 0 and len(res.cells) == 2 * 4
     study = domain_shift_study(plan)
     assert set(study["kinds"]) == {"cpc"}
+    # Rotate3D needs 3 channels: caught before any pre-training
+    for kind in ("simclr", "multitask"):
+        raw["pretext"] = {"kind": kind}
+        with pytest.raises(PlanError, match=f"{kind} pretext holds Rotate3D.* has 6"):
+            leave_one_domain_out(load_plan(raw))
+    raw["pretext"] = {"kind": "cpc"}
+    raw["sweep"]["study_kinds"] = ["cpc", "multitask"]
+    with pytest.raises(PlanError, match="multitask pretext holds Rotate3D.* has 6"):
+        domain_shift_study(load_plan(raw))
 
 
 def test_sweep_needs_two_domains():
