@@ -26,8 +26,8 @@ from .meta import inner_adapt
 from .models import CLF_PREFIX, ENC_PREFIX, EncoderConfig, classify, encode
 from .optim import adam_step
 from .params import ParamVector, grad_of
-from .pretext import (PretextObjective, eval_ssl, min_batch, objective_from_config,
-                      objective_kind, objective_to_config)
+from .pretext import (PretextError, PretextObjective, eval_ssl, min_batch,
+                      objective_from_config, objective_kind, objective_to_config)
 
 
 class AdaptError(ValueError):
@@ -198,7 +198,7 @@ def load_pretrained(path) -> PretrainedModel:
         return PretrainedModel(params=params, method=meta["method"],
                                objective=objective_from_config(pretext),
                                n_classes=int(meta.get("n_classes", 0)))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, PretextError) as e:
         raise ConfigError(f"malformed model sidecar {path}.json: {e!r}") from None
 
 

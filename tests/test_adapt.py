@@ -284,7 +284,10 @@ def test_pretrained_loads_the_old_sidecar_layout(tmp_path):
 
 @pytest.mark.parametrize("sidecar", [{}, {"pretext": {"kind": "simclr"}},
                                      {"method": "meta", "pretext": [1]},
-                                     {"method": "meta"}, []])
+                                     {"method": "meta"}, [],
+                                     {"method": "meta", "pretext": {
+                                         "kind": "simclr",
+                                         "encoder": {"blocks": [], "embedding_dim": 8}}}])
 def test_pretrained_malformed_sidecar(tmp_path, obj, sidecar):
     params_for(obj).save(tmp_path / "bad.adp2")
     (tmp_path / "bad.adp2.json").write_text(json.dumps(sidecar))
