@@ -6,6 +6,9 @@ outer loop must equal the hand-composed adapt/evaluate/step sequence;
 must reproduce ordinary mini-batch training step for step.
 """
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -259,21 +262,36 @@ def test_meta_validation_loss_is_mean_adapted_query_loss(ds, obj):
 
 def test_meta_validation_scores_queries_without_a_graph(ds, obj, monkeypatch):
     # validation reads only the query losses' values, so no query loss
-    # may record a graph; the inner steps before them still need one
+    # may record a graph; the inner steps before them still need one.
+    # Tasks may run concurrently, so each call is matched to its task by
+    # the windows it was given, not by the order of the calls.
     from metareplay import meta
     hyper = MetaHyper(M=3, M_dom=2, K=8, alpha=5e-3, inner_steps=1, val_tasks=3)
-    losses = []
+    calls, tasks = [], []
 
     def recording(*args):
         loss = eval_ssl(*args)
-        losses.append(loss)
+        calls.append((args[2], loss))
         return loss
 
+    def recording_tasks(*args):
+        drawn = generate_tasks(*args)
+        tasks.extend(drawn)
+        return drawn
+
     monkeypatch.setattr(meta, "eval_ssl", recording)
+    monkeypatch.setattr(meta, "generate_tasks", recording_tasks)
     got = meta_validation_loss(obj, small_params(obj, seed=6), ds, np.arange(60, 72),
                                hyper, np.random.default_rng(9))
-    inner, query = losses[0::2], losses[1::2]
-    assert len(inner) == len(query) == 3
+
+    def loss_on(idx):
+        [loss] = [loss for windows, loss in calls
+                  if np.array_equal(windows, ds.values[idx])]
+        return loss
+
+    inner = [loss_on(task.support) for task in tasks]
+    query = [loss_on(task.query) for task in tasks]
+    assert len(inner) == len(query) == 3 and len(calls) == 6
     assert all(loss.requires_grad for loss in inner)
     assert not any(loss.requires_grad for loss in query)
     assert got == float(np.mean([loss.item() for loss in query]))
@@ -400,6 +418,44 @@ def test_validation_none_when_pool_too_small(ds, obj):
                            np.arange(2), hyper, np.random.default_rng(0))
     assert log.epochs[0]["val_loss"] is None
     assert log.best_epoch == 1
+
+
+def test_task_threads_match_one_worker(ds, obj, monkeypatch):
+    # with BLAS pinned to one thread the tasks of an epoch run on a pool;
+    # its parameters and log must be those of the one-worker loop, byte for
+    # byte. backward writes .grad onto the leaves it reaches, so no two
+    # losses may be taken on the same leaf Tensors: a race on shared leaves
+    # would show only when two backward passes end at the same moment
+    from metareplay import meta
+    hyper = MetaHyper(M=4, M_dom=2, K=6, alpha=5e-3, inner_steps=1, epochs=2,
+                      val_tasks=2)
+    params = small_params(obj, seed=2)
+    threads, leaves = set(), []
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        leaves.extend(t for _, t in args[1] if t.requires_grad)
+        return eval_ssl(*args)
+
+    monkeypatch.setattr(meta, "eval_ssl", recording)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    runs = []
+    for blas_threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        threads.clear()
+        best, log = meta_pretrain(obj, params, ds, np.arange(90), np.arange(90, 120),
+                                  hyper, np.random.default_rng(17))
+        runs.append(([(n, t.data.tobytes()) for n, t in best], log.to_json_dict(),
+                     set(threads)))
+    (pooled, pooled_log, pooled_threads), (serial, serial_log, serial_threads) = runs
+    assert pooled == serial
+    assert pooled_log == serial_log
+    assert len({id(t) for t in leaves}) == len(leaves)
+    assert serial_threads == {threading.get_ident()}
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable CPU: the pool has a single worker")
+    assert len(pooled_threads) > 1
 
 
 def test_meta_pretrain_deterministic(ds, obj):
