@@ -43,7 +43,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,9 +51,7 @@ from .data import Dataset
 from .optim import AdamState, adam_step, sgd_step
 from .params import ParamVector, grad_of
 from .pretext import PretextObjective, eval_ssl, min_batch
-
-
-T = TypeVar("T")
+from .tensor import one_blas_thread
 
 
 class MetaError(ValueError):
@@ -160,13 +158,10 @@ def inner_adapt(objective: PretextObjective, params: ParamVector, support: np.nd
     return theta
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def _task_workers(n_tasks: int) -> int:
     """One worker per usable CPU (at most one per task) when the
     environment pins BLAS to one thread, else 1."""
-    if {os.environ.get(v) for v in _BLAS_THREAD_VARS} - {None} != {"1"}:
+    if not one_blas_thread():
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -178,8 +173,9 @@ def _task_workers(n_tasks: int) -> int:
 def _adapt_each_task(objective: PretextObjective, params: ParamVector, ds: Dataset,
                      tasks: Sequence[MetaTask], hyper: MetaHyper,
                      rng: np.random.Generator,
-                     score: Callable[[ParamVector, np.ndarray, np.random.Generator], T]
-                     ) -> Iterator[tuple[list[float], T]]:
+                     score: Callable[[ParamVector, np.ndarray, np.random.Generator],
+                                     object]
+                     ) -> Iterator[tuple[list[float], object]]:
     """Per task, in task order: the inner-step losses of adapting a copy
     on the support set, and score(adapted copy, query windows, query
     stream).
@@ -194,7 +190,7 @@ def _adapt_each_task(objective: PretextObjective, params: ParamVector, ds: Datas
     streams = [(rng.spawn(1)[0], rng.spawn(1)[0] if hyper.inner_steps > 0 else None)
                for _ in tasks]
 
-    def run(task: MetaTask, task_streams: tuple) -> tuple[list[float], T]:
+    def run(task: MetaTask, task_streams: tuple) -> tuple[list[float], object]:
         r_query, r_inner = task_streams
         theta = params.map(lambda _, a: a)
         support_losses: list[float] = []

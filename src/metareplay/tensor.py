@@ -24,6 +24,7 @@ backward instead of keeping it.
 from __future__ import annotations
 
 import ctypes
+import os
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -43,6 +44,15 @@ class GraphError(RuntimeError):
     graph that an earlier backward already consumed)."""
 
 
+def one_blas_thread() -> bool:
+    """Whether the environment pins BLAS to one thread: one of the
+    OpenBLAS, MKL or OpenMP thread variables is 1 and none is set to
+    anything else."""
+    settings = {os.environ.get(v) for v in
+                ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")}
+    return settings - {None} == {"1"}
+
+
 def _keep_freed_heap() -> None:
     """Let glibc keep the heap that a consumed graph frees.
 
@@ -57,12 +67,15 @@ def _keep_freed_heap() -> None:
     (48 MiB), and the step ran up to twice as long. 32 MiB is the ceiling
     glibc's own dynamic mmap threshold reaches on 64-bit hosts.
 
-    One arena (M_ARENA_MAX) keeps the meta loop's task threads on this
-    same heap: with glibc's per-thread arenas, each thread's freed graphs
-    stayed in an arena of its own, and peak RSS of a benchmark meta
+    With BLAS pinned to one thread the meta loops run their tasks on
+    threads (meta.py), and one arena (M_ARENA_MAX) keeps those threads on
+    this same heap: with glibc's per-thread arenas, each thread's freed
+    graphs stayed in an arena of its own, and peak RSS of a benchmark meta
     pre-training run rose from 86.8 to 99.7 MiB (+15%) with two task
-    threads, against +4.4% with one arena. Where there is no mallopt,
-    nothing is changed.
+    threads, against +4.4% with one arena. Without the pin there are no
+    task threads, and one arena made a meta pre-training run a few percent
+    slower next to OpenBLAS's own threads, so the default stays. Where
+    there is no mallopt, nothing is changed.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -72,7 +85,8 @@ def _keep_freed_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(-1, 256 << 20)          # M_TRIM_THRESHOLD
     mallopt(-3, 32 << 20)           # M_MMAP_THRESHOLD
-    mallopt(-8, 1)                  # M_ARENA_MAX
+    if one_blas_thread():
+        mallopt(-8, 1)              # M_ARENA_MAX
 
 
 _keep_freed_heap()
