@@ -24,23 +24,20 @@ zero-step inner loop therefore consumes exactly one stream per task,
 the same as one mini-batch of ordinary pre-training.
 
 Parallel tasks: every task depends only on the shared parameters, so
-both loops run the tasks' adapt-then-query work on a thread pool. All
-streams are spawned on the calling thread before any task runs, and the
-query gradients are summed, and the losses averaged, strictly in task
-order, so the rng order above and every float of the result are those of
-a serial loop (the exact replay step, the 1e-6 meta-step composition and
-the 1e-5 zero-inner-step oracles see no difference). Each task runs on
-its own leaf Tensors over the shared arrays, because backward writes
-.grad onto the leaves it reaches. The pool is used only when BLAS is
-pinned to one thread: an unpinned OpenBLAS already spreads each matmul
-over the cores, and task threads on top of it made a meta pre-training
-run about 28% slower, so it then runs one task at a time.
+both loops run the tasks' adapt-then-query work through
+tensor.parallel_map, on a thread pool when BLAS is pinned to one thread
+and one task at a time otherwise. All streams are spawned on the calling
+thread before any task runs, and the query gradients are summed, and the
+losses averaged, strictly in task order, so the rng order above and
+every float of the result are those of a serial loop (the exact replay
+step, the 1e-6 meta-step composition and the 1e-5 zero-inner-step
+oracles see no difference). Each task runs on its own leaf Tensors over
+the shared arrays, because backward writes .grad onto the leaves it
+reaches.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable, Iterator, Optional, Sequence
@@ -51,7 +48,7 @@ from .data import Dataset
 from .optim import AdamState, adam_step, sgd_step
 from .params import ParamVector, grad_of
 from .pretext import PretextObjective, eval_ssl, min_batch
-from .tensor import one_blas_thread
+from .tensor import parallel_map
 
 
 class MetaError(ValueError):
@@ -158,18 +155,6 @@ def inner_adapt(objective: PretextObjective, params: ParamVector, support: np.nd
     return theta
 
 
-def _task_workers(n_tasks: int) -> int:
-    """One worker per usable CPU (at most one per task) when the
-    environment pins BLAS to one thread, else 1."""
-    if not one_blas_thread():
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:                  # no affinity call on this OS
-        cpus = os.cpu_count() or 1
-    return min(n_tasks, cpus)
-
-
 def _adapt_each_task(objective: PretextObjective, params: ParamVector, ds: Dataset,
                      tasks: Sequence[MetaTask], hyper: MetaHyper,
                      rng: np.random.Generator,
@@ -182,10 +167,9 @@ def _adapt_each_task(objective: PretextObjective, params: ParamVector, ds: Datas
 
     The streams are spawned here, before any task runs: per task the
     query stream, then the inner stream only when hyper.inner_steps > 0.
-    Each task adapts its own leaves over the shared arrays and runs on one
-    of _task_workers threads, or on the calling thread when that is one.
-    A task's graphs are consumed by its own backward passes, so what waits
-    for the caller is its gradient at most.
+    Each task adapts its own leaves over the shared arrays and runs
+    through parallel_map. A task's graphs are consumed by its own backward
+    passes, so what waits for the caller is its gradient at most.
     """
     streams = [(rng.spawn(1)[0], rng.spawn(1)[0] if hyper.inner_steps > 0 else None)
                for _ in tasks]
@@ -199,12 +183,7 @@ def _adapt_each_task(objective: PretextObjective, params: ParamVector, ds: Datas
                                 hyper.inner_steps, r_inner, support_losses)
         return support_losses, score(theta, ds.values[task.query], r_query)
 
-    workers = _task_workers(len(tasks))
-    if workers == 1:
-        yield from map(run, tasks, streams)
-        return
-    with ThreadPoolExecutor(workers) as pool:
-        yield from pool.map(run, tasks, streams)
+    return parallel_map(run, tasks, streams)
 
 
 def meta_epoch(objective: PretextObjective, params: ParamVector, ds: Dataset,

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import ctypes
 import os
-from typing import Callable, Optional, Sequence, Union
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,6 +54,30 @@ def one_blas_thread() -> bool:
     return settings - {None} == {"1"}
 
 
+def parallel_map(fn: Callable, *items: Sequence) -> Iterator:
+    """fn over the zipped item sequences, results yielded in item order.
+
+    The calls run on one worker thread per usable CPU (at most one per
+    item) when one_blas_thread() holds, and on the calling thread
+    otherwise: an unpinned OpenBLAS already spreads each matmul over the
+    cores, and worker threads on top of it made a meta pre-training run
+    about 28% slower. Each call must own every Tensor it takes a gradient
+    through, because backward writes .grad onto the leaves it reaches.
+    """
+    workers = 1
+    if one_blas_thread():
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:              # no affinity call on this OS
+            cpus = os.cpu_count() or 1
+        workers = min(len(items[0]), cpus)
+    if workers <= 1:
+        yield from map(fn, *items)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        yield from pool.map(fn, *items)
+
+
 def _keep_freed_heap() -> None:
     """Let glibc keep the heap that a consumed graph frees.
 
@@ -67,15 +92,17 @@ def _keep_freed_heap() -> None:
     (48 MiB), and the step ran up to twice as long. 32 MiB is the ceiling
     glibc's own dynamic mmap threshold reaches on 64-bit hosts.
 
-    With BLAS pinned to one thread the meta loops run their tasks on
-    threads (meta.py), and one arena (M_ARENA_MAX) keeps those threads on
-    this same heap: with glibc's per-thread arenas, each thread's freed
-    graphs stayed in an arena of its own, and peak RSS of a benchmark meta
-    pre-training run rose from 86.8 to 99.7 MiB (+15%) with two task
-    threads, against +4.4% with one arena. Without the pin there are no
-    task threads, and one arena made a meta pre-training run a few percent
-    slower next to OpenBLAS's own threads, so the default stays. Where
-    there is no mallopt, nothing is changed.
+    With BLAS pinned to one thread, parallel_map runs the meta loops'
+    tasks (meta.py) and the sweep's cells (harness.py) on threads, and one
+    arena (M_ARENA_MAX) keeps those threads on this same heap: with
+    glibc's per-thread arenas, each thread's freed graphs stayed in an
+    arena of its own, and peak RSS of a benchmark meta pre-training run
+    rose from 86.8 to 99.7 MiB (+15%) with two task threads, against
+    +4.4% with one arena. The sweep's cell threads, which replay and
+    fine-tune one cell each, allocate from the same one arena. Without the
+    pin there are no worker threads, and one arena made a meta
+    pre-training run a few percent slower next to OpenBLAS's own threads,
+    so the default stays. Where there is no mallopt, nothing is changed.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

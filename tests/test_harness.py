@@ -2,6 +2,8 @@
 drivers on a micro-scale synthetic configuration."""
 
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,8 @@ from metareplay.harness import (PRESETS, ExperimentPlan, PlanError,
                                 pretrain_for_target, rng_for, seed_of,
                                 seed_seq)
 from metareplay.models import EncoderConfig, init_bundle
-from metareplay.pretext import SimCLRObjective, init_for_objective, objective_to_config
+from metareplay.pretext import (SimCLRObjective, eval_ssl, init_for_objective,
+                                objective_to_config)
 
 
 def micro_plan_dict(**sweep_extra):
@@ -416,6 +419,84 @@ def test_failed_cell_keeps_its_traceback(monkeypatch):
     assert [c for c in res.cells if c is not bad] == \
         [c for c in clean.cells if (c["domain"], c["mode"]) != (1, "full")]
     assert all("traceback" not in c for c in clean.cells)
+
+
+def test_failed_pretraining_fails_only_its_cells(monkeypatch, tmp_path):
+    from metareplay import harness
+    plan = load_plan(micro_plan_dict())
+    clean = leave_one_domain_out(plan)
+    real = harness.pretrain_for_target
+
+    def failing(plan, ds, target, method):
+        if (target, method) == (1, "meta"):
+            raise RuntimeError("meta pre-training diverged")
+        return real(plan, ds, target, method)
+
+    monkeypatch.setattr(harness, "pretrain_for_target", failing)
+    res = leave_one_domain_out(plan, out_dir=str(tmp_path))
+    bad = [c for c in res.cells if c["error"] is not None]
+    assert [(c["domain"], c["shots"], c["seed"], c["mode"]) for c in bad] == \
+        [(1, 2, 0, "full")]
+    assert res.n_failed == len(bad)
+    for cell in bad:
+        assert cell["error"] == "RuntimeError: meta pre-training diverged"
+        assert "in failing" in cell["traceback"]
+        assert cell["report"] is None and cell["replay"] is None
+    assert [c for c in res.cells if c["error"] is None] == \
+        [c for c in clean.cells if (c["domain"], c["mode"]) != (1, "full")]
+    assert not (tmp_path / "checkpoints" / "meta_d1.adp2").exists()
+    assert not (tmp_path / "logs" / "pretrain_meta_d1.json").exists()
+    assert (tmp_path / "checkpoints" / "meta_d0.adp2").exists()
+    assert (tmp_path / "logs" / "pretrain_plain_d1.json").exists()
+    saved = json.loads((tmp_path / "logs" / "cell_d1_k2_s0_full.json").read_text())
+    assert saved == bad[0]
+
+
+def test_cell_threads_match_one_worker(monkeypatch, tmp_path):
+    # with BLAS pinned to one thread a target's cells run on a pool; every
+    # file the sweep writes must be that of the calling-thread loop, byte
+    # for byte. Replay's backward writes .grad onto the leaves it reaches,
+    # so no leaf may reach two gradient-taking losses: a race on shared
+    # leaves shows only when two backward passes end at the same moment,
+    # which a byte comparison alone misses
+    # (two shot seeds, so that two replaying cells share a pre-trained model)
+    from metareplay import adapt, harness, meta
+    plan = load_plan(micro_plan_dict(seeds=2))
+    threads, leaves = set(), []
+
+    def recording_eval_ssl(*args):
+        leaves.extend(t for _, t in args[1] if t.requires_grad)
+        return eval_ssl(*args)
+
+    real_pipeline = harness.run_pipeline
+
+    def recording_pipeline(*args):
+        threads.add(threading.get_ident())
+        return real_pipeline(*args)
+
+    for module in (adapt, harness, meta):
+        monkeypatch.setattr(module, "eval_ssl", recording_eval_ssl)
+    monkeypatch.setattr(harness, "run_pipeline", recording_pipeline)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    runs = []
+    for blas_threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        threads.clear()
+        out = tmp_path / blas_threads
+        leave_one_domain_out(plan, out_dir=str(out))
+        files = {p.relative_to(out): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        runs.append((files, set(threads)))
+    (pooled, pooled_threads), (serial, serial_threads) = runs
+    assert sorted(map(str, pooled)) == sorted(map(str, serial))
+    assert any(p.suffix == ".adp2" for p in pooled)
+    assert pooled == serial
+    assert len({id(t) for t in leaves}) == len(leaves)
+    assert serial_threads == {threading.get_ident()}
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable CPU: the pool has a single worker")
+    assert len(pooled_threads) > 1
 
 
 def test_failing_cells_are_isolated():
