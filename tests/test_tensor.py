@@ -1,6 +1,10 @@
 """Autodiff engine: value oracles, gradient checks, graph semantics."""
 
+import os
 import platform
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -597,3 +601,35 @@ def test_conv1d_rejects_kernel_longer_than_input():
     with pytest.raises(ShapeError):
         T.conv1d(np.ones((1, 2, 3), dtype=np.float32),
                  np.ones((2, 2, 5), dtype=np.float32))
+
+
+# ---------------------------------------------------------------------------
+# parallel_map
+
+def test_parallel_map_keeps_item_order_with_more_workers_than_cores(monkeypatch):
+    # eight workers on however many cores, items finishing out of order and
+    # a short switch interval: results must still come back in item order
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    threads = set()
+
+    def product(i, j):
+        threads.add(threading.get_ident())
+        time.sleep(0.001 * (i * 7 % 5))
+        return i * j
+
+    runs = {}
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for blas_threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+            threads.clear()
+            runs[blas_threads] = list(T.parallel_map(product, range(40), range(40))), \
+                set(threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert runs["1"][0] == runs["2"][0] == [i * i for i in range(40)]
+    assert len(runs["1"][1]) > 1
+    assert runs["2"][1] == {threading.get_ident()}      # unpinned: calling thread
