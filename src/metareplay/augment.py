@@ -3,8 +3,11 @@
 Used in two ways: building paired contrastive views and generating
 transformation-detection batches where the model must report which
 augmentations were applied. Every transform acts on a batch of [C, T]
-window arrays at once, each row drawing from its own stream, preserves
-their shape, and the batch builders clamp the result to [-1, 1].
+window arrays at once and preserves their shape, and the batch builders
+clamp the result to [-1, 1]. Randomness is per batch: a builder draws
+every row from the one generator it is given, kind by kind in order,
+each kind in one whole-batch draw, so a row's draws depend on its place
+in the batch.
 """
 
 from __future__ import annotations
@@ -101,47 +104,38 @@ def kind_name(kind: AugmentKind) -> str:
     return type(kind).__name__.lower()
 
 
-def _rotation_matrices(axes: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rodrigues' formula, one rotation per row: unit axes [m, 3], cosines
-    and sines [m] -> [m, 3, 3]."""
-    x, y, z = axes.T
-    k = np.zeros((len(axes), 3, 3))
-    k[:, 0, 1], k[:, 0, 2] = -z, y
-    k[:, 1, 0], k[:, 1, 2] = z, -x
-    k[:, 2, 0], k[:, 2, 1] = -y, x
-    return np.eye(3) + s[:, None, None] * k + (1.0 - c)[:, None, None] * np.matmul(k, k)
+def _row_perms(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """m independent permutations of range(n), one per row, in one draw."""
+    return rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
 
 
 def _apply_batch(kind: AugmentKind, x: np.ndarray,
-                 rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Transform each [C, T] array of x [m, C, T], drawing row i's randomness
-    from rngs[i] only; no clamping. Draws are made row by row in the order
-    one row alone would make them, so a row's result does not depend on
-    the rest of the batch. Scalar maths (norms, cos, sin) stays per row for
-    the same reason."""
-    if not len(x):
+                 rng: np.random.Generator) -> np.ndarray:
+    """Transform each [C, T] array of x [m, C, T]; no clamping. All m rows
+    draw from the one generator rng, each kind in one whole-batch draw:
+    Jitter normal(size=x.shape), Scale uniform(size=m), Rotate3D
+    normal(size=(m, 3)) axes then uniform(size=m) angles, Permute and
+    ChannelShuffle one permuted(..., axis=1) over an [m, n] index table.
+    Negate and TimeFlip draw nothing."""
+    m = len(x)
+    if not m:
         return x
     if isinstance(kind, Jitter):
         if kind.sigma == 0:
             return x
-        noise = np.empty(x.shape, dtype=np.float32)
-        for i, r in enumerate(rngs):
-            noise[i] = r.normal(0.0, kind.sigma, size=x.shape[1:])
-        return x + noise
+        return x + rng.normal(0.0, kind.sigma, size=x.shape).astype(np.float32)
     if isinstance(kind, Scale):
-        f = np.array([r.uniform(kind.low, kind.high) for r in rngs]).astype(np.float32)
+        f = rng.uniform(kind.low, kind.high, size=m).astype(np.float32)
         return x * f[:, None, None]
     if isinstance(kind, Rotate3D):
         if x.shape[1] != 3:
             raise AugmentError(f"rotation needs 3 channels, got {x.shape[1]}")
-        axes = np.empty((len(x), 3))
-        c, s = np.empty(len(x)), np.empty(len(x))
-        for i, r in enumerate(rngs):
-            v = r.normal(size=3)
-            axes[i] = v / np.linalg.norm(v)
-            angle = r.uniform(-1.0, 1.0) * np.deg2rad(kind.max_angle_deg)
-            c[i], s[i] = np.cos(angle), np.sin(angle)
-        return np.matmul(_rotation_matrices(axes, c, s), x).astype(np.float32)
+        axes = rng.normal(size=(m, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angle = rng.uniform(-1.0, 1.0, size=(m, 1, 1)) * np.deg2rad(kind.max_angle_deg)
+        k = np.cross(np.eye(3), axes[:, None, :])  # cross-product matrices [m, 3, 3]
+        rot = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)  # Rodrigues
+        return np.matmul(rot, x).astype(np.float32)
     if isinstance(kind, Negate):
         return -x
     if isinstance(kind, TimeFlip):
@@ -150,11 +144,13 @@ def _apply_batch(kind: AugmentKind, x: np.ndarray,
         if kind.n_segments == 1:
             return x
         segs = np.array_split(np.arange(x.shape[2]), kind.n_segments)
-        idx = np.stack([np.concatenate([segs[j] for j in r.permutation(len(segs))])
-                        for r in rngs])
+        # each time step keyed by its segment's new position, sorted stably
+        pos = np.argsort(_row_perms(rng, m, len(segs)), axis=1)
+        idx = np.argsort(np.repeat(pos, [len(s) for s in segs], axis=1), axis=1,
+                         kind="stable")
         return np.take_along_axis(x, idx[:, None, :], axis=2)
     if isinstance(kind, ChannelShuffle):
-        perm = np.stack([r.permutation(x.shape[1]) for r in rngs])
+        perm = _row_perms(rng, m, x.shape[1])
         return np.take_along_axis(x, perm[:, :, None], axis=1)
     raise AugmentError(f"unknown augmentation kind {kind!r}")
 
@@ -163,19 +159,14 @@ def paired_views_batch(windows: np.ndarray, pipeline: Sequence[AugmentKind],
                        rng: np.random.Generator) -> np.ndarray:
     """[n, C, T] -> [2n, C, T] with views of window i at rows 2i and 2i+1.
 
-    View 2i+j draws from ``rng.spawn(n)[i].spawn(2)[j]``; the streams are
-    spawned from the seed sequences directly, which skips the n
-    intermediate Generators.
+    The pipeline's kinds run in order over all 2n rows, each drawing from
+    rng once for the whole batch (see _apply_batch).
     """
     if not pipeline:
         raise AugmentError("empty augmentation pipeline")
-    bitgen = type(rng.bit_generator)
-    rngs = [np.random.Generator(bitgen(seq))
-            for child in rng.bit_generator.seed_seq.spawn(windows.shape[0])
-            for seq in child.spawn(2)]
     x = np.repeat(windows, 2, axis=0)
     for kind in pipeline:
-        x = _apply_batch(kind, x, rngs)
+        x = _apply_batch(kind, x, rng)
     return np.clip(x, -1.0, 1.0).astype(np.float32)
 
 
@@ -186,20 +177,18 @@ def sample_task_batch(windows: np.ndarray, kinds: Sequence[AugmentKind],
     probability p, in the listed order. Returns the transformed windows and
     the [n, m] float32 label matrix (1 = kind applied).
 
-    The i-th window draws from ``rng.spawn(n)[i]``: first its whole coin vector, so
-    that label patterns do not depend on how many random numbers each
-    transform consumes, then the draws of the kinds it receives, in order.
+    rng first draws the whole [n, m] coin matrix, so label patterns do not
+    depend on how many random numbers the transforms consume; then each
+    kind, in order, draws once for the rows that receive it.
     """
     if not kinds:
         raise AugmentError("need at least one augmentation kind")
-    n = windows.shape[0]
-    streams = rng.spawn(n)
-    coins = np.array([r.random(len(kinds)) < p for r in streams]).reshape(n, len(kinds))
+    coins = rng.random((windows.shape[0], len(kinds))) < p
     out = windows.copy()
     for j, kind in enumerate(kinds):
         rows = np.flatnonzero(coins[:, j])
         if rows.size:
-            out[rows] = _apply_batch(kind, out[rows], [streams[i] for i in rows])
+            out[rows] = _apply_batch(kind, out[rows], rng)
     np.clip(out, -1.0, 1.0, out=out)
     return out, coins.astype(np.float32)
 

@@ -19,8 +19,8 @@ import numpy as np
 from .adapt import (END_TO_END, LINEAR, MODES, PLAIN, FinetuneConfig, ReplayConfig,
                     load_pretrained, run_pipeline, save_pretrained)
 from .data import (SplitPlan, apply_norm, compute_norm_stats, default_synth_spec,
-                   make_split, read_csv_dataset, read_dataset, synth_generate,
-                   write_dataset)
+                   make_split, normalize, read_csv_dataset, read_dataset,
+                   synth_generate, write_dataset)
 from .harness import (domain_shift_study, dump_embeddings, leave_one_domain_out,
                       load_plan, load_plan_dataset, pretrain_for_target)
 from .metrics import evaluate
@@ -146,7 +146,6 @@ def cmd_dump_embeddings(args) -> int:
     if args.split:
         dsn = _normalized_for_split(ds, SplitPlan.load_json(args.split))
     else:
-        from .data import normalize
         dsn = normalize(ds)
     dump_embeddings(model.params, dsn, args.out, model.objective.encoder)
     print(f"wrote {dsn.n_windows} embedding rows to {args.out}")

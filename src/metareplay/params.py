@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, backward
 
 MAGIC = b"ADP2"
 VERSION = 1
@@ -174,6 +174,5 @@ class ParamVector:
 
 def grad_of(loss: Tensor, params: ParamVector) -> ParamVector:
     """Run backward from ``loss`` and collect gradients for ``params``."""
-    from .tensor import backward
     backward(loss)
     return params.grads()
