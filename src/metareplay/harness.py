@@ -451,20 +451,22 @@ def pretrain_for_target(plan: ExperimentPlan, ds: Dataset, target: int,
     Normalization statistics come from the pretraining pool only and are
     applied to the whole dataset; the normalized dataset is returned so
     the adaptation stage sees the same scaling the model was trained on.
+    The initial parameters are keyed by target only, so both methods start
+    from one init and a method comparison carries no init effect; the
+    training stream is keyed by (target, method).
     """
     ref = make_split(ds, target, k=1, seed=seed_of(plan, "split", target))
     stats = compute_norm_stats(ds.values[ref.pretrain_train])
     dsn = apply_norm(ds, stats)
+    init = init_for_objective(plan.objective, ds.n_classes,
+                              rng_for(plan.master_seed, "init", target), ds.channels)
     rng = rng_for(plan.master_seed, "pretrain", target, method)
-    init = init_for_objective(plan.objective, ds.n_classes, rng.spawn(1)[0],
-                              ds.channels)
     if method == META:
         params, log = meta_pretrain(plan.objective, init, dsn, ref.pretrain_train,
-                                    ref.pretrain_val, plan.meta_hyper, rng.spawn(1)[0])
+                                    ref.pretrain_val, plan.meta_hyper, rng)
     else:
         params, log = plain_pretrain(plan.objective, init, dsn, ref.pretrain_train,
-                                     ref.pretrain_val, plan.plain_hyper,
-                                     rng.spawn(1)[0])
+                                     ref.pretrain_val, plan.plain_hyper, rng)
     model = PretrainedModel(params=params, method=method, objective=plan.objective,
                             n_classes=ds.n_classes)
     return model, log, dsn

@@ -21,8 +21,8 @@ def win(rng):
 
 
 def _views(pipeline, win, rng):
-    """Both views of one window: the pipeline applied twice, each time
-    from its own stream, then clamped."""
+    """Both views of one window: the pipeline applied to two copies of it,
+    then clamped."""
     return paired_views_batch(win[None], pipeline, rng)
 
 
@@ -223,11 +223,11 @@ def test_task_batch_labels_reflect_application(rng):
         np.testing.assert_array_equal(out[i], expect)
 
 
-def _stochastic(kind, t=64):
-    """n identical [C, T] windows with distinct values, C as the kind
-    needs: enough channels or segments that two permutations rarely meet."""
+def _stochastic(kind):
+    """One [C, 64] window of distinct values, with enough channels for
+    ChannelShuffle that two rows' permutations practically never meet."""
     c = 16 if isinstance(kind, ChannelShuffle) else 3
-    return np.random.default_rng(1).uniform(-0.5, 0.5, size=(c, t)).astype(np.float32)
+    return np.random.default_rng(1).uniform(-0.5, 0.5, size=(c, 64)).astype(np.float32)
 
 
 @pytest.mark.parametrize("kind", [Jitter(0.1), Scale(0.8, 1.2), Rotate3D(40.0),

@@ -322,6 +322,30 @@ def test_pretrain_for_target_methods():
     assert len(log.epochs) == plan.meta_hyper.epochs
 
 
+def test_pretrain_for_target_shares_one_init_per_target(monkeypatch):
+    # plain and meta start from the same parameters, so the arms are paired
+    from metareplay import harness
+    plan = load_plan(micro_plan_dict())
+    ds = load_plan_dataset(plan)
+    inits = {}
+
+    def capture(method):
+        def run(objective, init, *args):
+            inits[target, method] = b"".join(t.data.tobytes() for _, t in init)
+            raise RuntimeError("captured")
+        return run
+
+    monkeypatch.setattr(harness, "plain_pretrain", capture("plain"))
+    monkeypatch.setattr(harness, "meta_pretrain", capture("meta"))
+    for target in (0, 1):
+        for method in ("plain", "meta"):
+            with pytest.raises(RuntimeError, match="captured"):
+                pretrain_for_target(plan, ds, target, method)
+    assert inits[0, "plain"] == inits[0, "meta"]
+    assert inits[1, "plain"] == inits[1, "meta"]
+    assert inits[0, "plain"] != inits[1, "plain"]
+
+
 # ---------------------------------------------------------------------------
 # the sweep driver
 
