@@ -19,8 +19,8 @@ def main():
     x = Tensor(rng.standard_normal((4, 3)))
     w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     y = sum_(tanh(x @ w))
-    backward(y)
-    print("d sum(tanh(x@w)) / dw, first row:", np.round(w.grad[0], 4))
+    (dw,) = backward(y, [w])       # one gradient per tensor asked for
+    print("d sum(tanh(x@w)) / dw, first row:", np.round(dw[0], 4))
 
     # finite-difference spot check on one entry (float64 side computation;
     # the tensor core itself runs float32)
@@ -30,7 +30,7 @@ def main():
     wp[0, 0] += eps
     wm[0, 0] -= eps
     fd = (np.tanh(x64 @ wp).sum() - np.tanh(x64 @ wm).sum()) / (2 * eps)
-    print(f"finite difference {fd:.6f} vs autodiff {w.grad[0, 0]:.6f}")
+    print(f"finite difference {fd:.6f} vs autodiff {dw[0, 0]:.6f}")
 
     # --- a small net as a ParamVector ---------------------------------
     params = ParamVector([
@@ -60,8 +60,8 @@ def main():
     # concat participates in the graph like any other op
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    backward(sum_(concat([a, b], axis=0)))
-    print("concat backprop fills both inputs:", a.grad.shape, b.grad.shape)
+    da, db = backward(sum_(concat([a, b], axis=0)), [a, b])
+    print("concat backprop reaches both inputs:", da.shape, db.shape)
 
 
 if __name__ == "__main__":

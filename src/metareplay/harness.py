@@ -13,7 +13,7 @@ Parallel cells: a sweep cell depends only on its target's pre-trained
 models and on streams keyed by its own coordinates, so the sweep runs a
 target's cells through tensor.parallel_map, one thread per usable CPU
 when BLAS is pinned to one thread and on the calling thread otherwise.
-Each cell replays on its own leaf Tensors over the pre-trained arrays,
+The cells share the pre-trained leaf Tensors, which backward only reads,
 and the results are collected in coordinate order, so the cells, the
 logs and results.json are byte-identical to a serial loop. Pre-training
 and every file write stay on the calling thread. The pool works at cell
@@ -47,7 +47,7 @@ from .models import EncoderConfig, encode
 from .optim import adam_step
 from .params import ParamVector, grad_of
 from .pretext import (OBJECTIVES, PretextError, PretextObjective, eval_ssl,
-                      init_for_objective, min_batch, objective_from_config,
+                      init_for_objective, integral, min_batch, objective_from_config,
                       objective_kind, objective_to_config)
 from .tensor import parallel_map
 
@@ -114,17 +114,21 @@ def _list(where: str, value) -> tuple:
 
 
 def _coerce(where: str, typ, value):
-    """typ(value), with a value of the wrong JSON type as a PlanError."""
+    """typ(value) (integral for an int), a rejected value as a PlanError."""
     try:
-        return typ(value)
-    except TypeError as e:
+        return integral(value) if typ is int else typ(value)
+    except (TypeError, ValueError) as e:
         raise PlanError(f"bad value for {where}: {e}") from None
 
 
 def _build(section: str, cls, given):
-    """cls(**given), after checking given's keys against cls's fields."""
+    """cls(**given), given's keys checked against cls's fields, ints coerced."""
     given = _object(section, given)
-    _check_keys(section, given, {f.name for f in fields(cls)})
+    types = {f.name: f.type for f in fields(cls)}
+    _check_keys(section, given, set(types))
+    for name, value in given.items():
+        if types[name] in ("int", int):
+            given[name] = _coerce(f"{section}.{name}", int, value)
     try:
         return cls(**given)
     except TypeError as e:                  # a value of the wrong JSON type
@@ -275,6 +279,10 @@ def load_plan(source) -> ExperimentPlan:
                   for s in _list("sweep.shots", sweep.get("shots", (1, 2, 5, 10))))
     if not shots or any(s < 1 for s in shots):
         raise PlanError(f"sweep.shots must be positive and non-empty, got {shots}")
+    for key, values in (("modes", modes), ("shots", shots)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:                            # each cell would run twice
+            raise PlanError(f"sweep.{key} repeats {repeated}")
     n_seeds = _coerce("sweep.seeds", int, sweep.get("seeds", 5))
     if n_seeds < 1:
         raise PlanError(f"sweep.seeds must be >= 1, got {n_seeds}")
@@ -498,11 +506,8 @@ def _run_cell(plan: ExperimentPlan, dsn: Dataset, ds: Dataset,
     try:
         split = make_split(ds, d, k, seed_of(plan, "cell", d, k, seed_i))
         rng = rng_for(plan.master_seed, "run", d, k, seed_i, mode)
-        model = pretrained[_MODE_NEEDS[mode]]
-        # its own leaves over the shared arrays: replay's backward writes .grad
-        own = replace(model, params=model.params.map(lambda _, a: a))
-        bundle, record = run_pipeline(mode, own, dsn, split, plan.replay_cfg,
-                                      plan.finetune_cfg, rng)
+        bundle, record = run_pipeline(mode, pretrained[_MODE_NEEDS[mode]], dsn, split,
+                                      plan.replay_cfg, plan.finetune_cfg, rng)
         report = evaluate(bundle, dsn.values[split.target_test],
                           dsn.labels[split.target_test], ds.n_classes, seed_i,
                           plan.config_hash, plan.objective.encoder)
@@ -527,12 +532,12 @@ def leave_one_domain_out(plan: ExperimentPlan,
     with the pre-training's error and traceback, and writes no checkpoint
     or log for it.
 
-    A target's cells run through tensor.parallel_map (one thread per
-    usable CPU when BLAS is pinned to one thread), each on its own leaf
-    Tensors, and are collected in (shots, seed, mode) order. Pre-training
-    and the file writes stay on the calling thread, so every output is
-    byte-identical to a serial loop. Targets run one at a time, because two
-    concurrent pre-trainings raised peak memory by 40% (module docstring).
+    A target's cells share its pre-trained models, run through
+    tensor.parallel_map (one thread per usable CPU when BLAS is pinned to
+    one thread) and are collected in (shots, seed, mode) order.
+    Pre-training and the file writes stay on the calling thread, so every
+    output is byte-identical to a serial loop. Targets run one at a time,
+    because two concurrent pre-trainings raised peak memory by 40%.
     """
     ds = _sweep_dataset(plan, [plan.objective], "leave-one-domain-out")
     out_path = Path(out_dir) if out_dir else None

@@ -23,17 +23,15 @@ for the inner loop, which spawns one child per SGD step. A
 zero-step inner loop therefore consumes exactly one stream per task,
 the same as one mini-batch of ordinary pre-training.
 
-Parallel tasks: every task depends only on the shared parameters, so
-both loops run the tasks' adapt-then-query work through
-tensor.parallel_map, on a thread pool when BLAS is pinned to one thread
-and one task at a time otherwise. All streams are spawned on the calling
-thread before any task runs, and the query gradients are summed, and the
-losses averaged, strictly in task order, so the rng order above and
-every float of the result are those of a serial loop (the exact replay
-step, the 1e-6 meta-step composition and the 1e-5 zero-inner-step
-oracles see no difference). Each task runs on its own leaf Tensors over
-the shared arrays, because backward writes .grad onto the leaves it
-reaches.
+Parallel tasks: every task depends only on the shared parameters, whose
+leaf Tensors backward reads and never writes, so both loops run the
+tasks' adapt-then-query work through tensor.parallel_map, on a thread
+pool when BLAS is pinned to one thread and one task at a time otherwise.
+All streams are spawned on the calling thread before any task runs, and
+the query gradients are summed, and the losses averaged, strictly in
+task order, so the rng order above and every float of the result are
+those of a serial loop (the exact replay step, the 1e-6 meta-step
+composition and the 1e-5 zero-inner-step oracles see no difference).
 """
 
 from __future__ import annotations
@@ -167,8 +165,8 @@ def _adapt_each_task(objective: PretextObjective, params: ParamVector, ds: Datas
 
     The streams are spawned here, before any task runs: per task the
     query stream, then the inner stream only when hyper.inner_steps > 0.
-    Each task adapts its own leaves over the shared arrays and runs
-    through parallel_map. A task's graphs are consumed by its own backward
+    Each task adapts from the shared parameters and runs through
+    parallel_map. A task's graphs are consumed by its own backward
     passes, so what waits for the caller is its gradient at most.
     """
     streams = [(rng.spawn(1)[0], rng.spawn(1)[0] if hyper.inner_steps > 0 else None)
@@ -176,10 +174,9 @@ def _adapt_each_task(objective: PretextObjective, params: ParamVector, ds: Datas
 
     def run(task: MetaTask, task_streams: tuple) -> tuple[list[float], object]:
         r_query, r_inner = task_streams
-        theta = params.map(lambda _, a: a)
-        support_losses: list[float] = []
+        theta, support_losses = params, []
         if r_inner is not None:
-            theta = inner_adapt(objective, theta, ds.values[task.support], hyper.alpha,
+            theta = inner_adapt(objective, params, ds.values[task.support], hyper.alpha,
                                 hyper.inner_steps, r_inner, support_losses)
         return support_losses, score(theta, ds.values[task.query], r_query)
 

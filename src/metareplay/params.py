@@ -99,15 +99,6 @@ class ParamVector:
     def zeros_like(self) -> "ParamVector":
         return self.map(lambda _, a: np.zeros_like(a))
 
-    def grads(self) -> "ParamVector":
-        """Collect .grad from each tensor after a backward pass.
-
-        Parameters that did not participate in the loss have no recorded
-        gradient; they collect as zeros (their true gradient).
-        """
-        return ParamVector((n, Tensor(np.zeros_like(t.data) if t.grad is None else t.grad))
-                           for n, t in self)
-
     def no_grad(self) -> "ParamVector":
         """The same arrays as tensors that need no gradient. Ops on them
         record no graph, so a forward-only pass keeps nothing for backward."""
@@ -173,6 +164,7 @@ class ParamVector:
 
 
 def grad_of(loss: Tensor, params: ParamVector) -> ParamVector:
-    """Run backward from ``loss`` and collect gradients for ``params``."""
-    backward(loss)
-    return params.grads()
+    """Gradients of ``loss`` for ``params``; zeros where the loss does not reach."""
+    grads = backward(loss, params._tensors)
+    return ParamVector((n, Tensor(np.zeros_like(t.data) if g is None else g))
+                       for (n, t), g in zip(params, grads))

@@ -13,6 +13,7 @@ entry point the pre-training and adaptation loops call.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from typing import Union
 
@@ -97,13 +98,21 @@ def min_batch(obj: PretextObjective) -> int:
     return 1
 
 
+def integral(value) -> int:
+    """An integral config number (3 or 3.0) as an int; ValueError otherwise."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) or \
+            isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def objective_from_config(cfg: dict) -> PretextObjective:
     """Build an objective from "kind" plus any of its class's fields.
 
     Augmentation lists and the encoder are built with kind_from_config
     and encoder_from_config; scalars take the type of the field's
-    default, so a JSON 1 for a temperature is 1.0. A value that its
-    builder or type rejects raises PretextError.
+    default, so a JSON 1 for a temperature is 1.0 (integral for an int).
+    A value that its builder or type rejects raises PretextError.
     """
     cfg = dict(cfg)
     kind = str(cfg.pop("kind", "simclr")).lower()
@@ -121,7 +130,8 @@ def objective_from_config(cfg: dict) -> PretextObjective:
                 elif isinstance(default, tuple):
                     kwargs[f.name] = tuple(kind_from_config(e) for e in value)
                 else:
-                    kwargs[f.name] = type(default)(value)
+                    kwargs[f.name] = (integral if isinstance(default, int)
+                                      else type(default))(value)
             except (TypeError, ValueError) as e:    # wrong JSON type, or rejected
                 raise PretextError(f"bad value for pretext {f.name}: {e}") from None
     obj = cls(**kwargs)

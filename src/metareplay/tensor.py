@@ -6,10 +6,10 @@ top: elementwise arithmetic, matmul, conv1d, pooling, normalization,
 softmax-family ops, and the stable loss primitives.
 
 The graph is rebuilt on every forward pass (define-by-run) and consumed
-by the one backward pass that runs on it: each node drops its saved
-buffers and its parents as soon as its vjp has run, and only leaves keep
-a gradient. Any op that produces a non-finite value raises immediately
-instead of letting NaN or Inf propagate.
+by the one backward pass that runs on it, which returns leaf gradients
+and writes onto no Tensor: each node drops its saved buffers and its
+parents as soon as its vjp has run. Any op that produces a non-finite
+value raises immediately instead of letting NaN or Inf propagate.
 
 Graph structure is kept apart from tensor data. An op output's
 :class:`Node` links the nodes of its inputs and holds no array; the only
@@ -61,8 +61,8 @@ def parallel_map(fn: Callable, *items: Sequence) -> Iterator:
     item) when one_blas_thread() holds, and on the calling thread
     otherwise: an unpinned OpenBLAS already spreads each matmul over the
     cores, and worker threads on top of it made a meta pre-training run
-    about 28% slower. Each call must own every Tensor it takes a gradient
-    through, because backward writes .grad onto the leaves it reaches.
+    about 28% slower. Calls may share leaf Tensors: backward only reads
+    leaves and consumes the op nodes of its own graph.
     """
     workers = 1
     if one_blas_thread():
@@ -126,9 +126,9 @@ class Node:
     """One recorded op: its name, its vjp and the graph nodes of its inputs.
 
     A node holds no array itself. Its parents are other nodes, leaves
-    (which are Tensors, so that ``.grad`` lands on them) or ``_CONSTANT``
-    for an input that needs no gradient, in the order the vjp returns
-    their gradients.
+    (which are Tensors, so that backward can hand their gradients back by
+    identity) or ``_CONSTANT`` for an input that needs no gradient, in the
+    order the vjp returns their gradients.
     """
 
     __slots__ = ("requires_grad", "_parents", "_vjp", "_op")
@@ -149,10 +149,9 @@ _CONSTANT.requires_grad = False
 class Tensor:
     """A float32 ndarray plus the bookkeeping for reverse-mode autodiff.
 
-    ``grad`` is populated by :func:`backward` for every leaf (a tensor
-    built with ``requires_grad=True``, not by an op) reachable from the
-    loss; op outputs keep ``grad = None``. Data arrays are treated as
-    immutable once wrapped; ops always allocate fresh outputs.
+    A leaf is a tensor built with ``requires_grad=True``, not by an op;
+    :func:`backward` returns gradients for leaves. Data arrays are treated
+    as immutable once wrapped; ops always allocate fresh outputs.
 
     An op output that requires grad points at its graph :class:`Node`;
     ``_parents``, ``_vjp`` and ``_op`` read through to it (a leaf has
@@ -161,7 +160,7 @@ class Tensor:
     them, unless a vjp reads that array.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -169,7 +168,6 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
         self._node: Optional[Node] = None
 
     @property
@@ -282,17 +280,17 @@ def _consumed(g: np.ndarray) -> tuple:
     raise GraphError("graph already consumed by backward")
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, wrt: Sequence[Tensor]) -> list[Optional[np.ndarray]]:
     """Reverse-mode pass from a scalar loss; consumes the graph.
 
-    Populates ``t.grad`` (overwriting any previous value) for every leaf
-    with ``requires_grad`` reachable from ``loss``. Each node in the
-    recorded graph is visited exactly once; gradients accumulate
-    additively across fan-out. Once a node's vjp has run, the node lets go
-    of its parents and saved buffers, so the graph's memory is freed as
-    the pass goes and not when the caller drops the loss. A graph serves
-    one backward: running backward again on the same loss, or on another
-    loss built on a consumed node, raises GraphError.
+    Returns the gradient of ``loss`` for each tensor of ``wrt``, in order,
+    and None for one the loss does not reach as a leaf; no Tensor is
+    written to. Each node in the recorded graph is visited exactly once;
+    gradients accumulate additively across fan-out. Once a node's vjp has
+    run, the node lets go of its parents and saved buffers, so the graph's
+    memory is freed as the pass goes and not when the caller drops the
+    loss. A graph serves one backward: running backward again on the same
+    loss, or on another loss built on a consumed node, raises GraphError.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward target must be scalar, got shape {loss.shape}")
@@ -319,12 +317,8 @@ def backward(loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     while topo:
         node = topo.pop()
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._vjp is None:
-            node.grad = g
-            continue
+        if node._vjp is None or (g := grads.pop(id(node), None)) is None:
+            continue                        # a leaf keeps its entry for the result
         parent_grads = node._vjp(g)
         for p, pg in zip(node._parents, parent_grads):
             if pg is None or not p.requires_grad:
@@ -332,6 +326,7 @@ def backward(loss: Tensor) -> None:
             acc = grads.get(id(p))
             grads[id(p)] = pg if acc is None else acc + pg
         node._vjp, node._parents = _consumed, ()
+    return [grads.get(id(t)) for t in wrt]
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,7 @@ def scalarize(out, w=None):
 
 
 def analytic_grads(f, xs):
-    for x in xs:
-        x.grad = None
-    loss = f(*xs)
-    backward(loss)
-    return [None if x.grad is None else x.grad.copy() for x in xs]
+    return backward(f(*xs), xs)
 
 
 def fd_grad(f, xs, i, h=1e-3):

@@ -134,9 +134,9 @@ def test_cpc_gradients_flow_to_both_sides(rng):
                requires_grad=True)
     t = Tensor(rng.standard_normal((3, 2, 6)).astype(np.float32),
                requires_grad=True)
-    T.backward(cpc_loss(p, t))
-    assert p.grad is not None and np.any(p.grad != 0)
-    assert t.grad is not None and np.any(t.grad != 0)
+    dp, dt = T.backward(cpc_loss(p, t), [p, t])
+    assert dp is not None and np.any(dp != 0)
+    assert dt is not None and np.any(dt != 0)
 
 
 def test_cpc_grad_matches_fd(rng):
@@ -279,6 +279,15 @@ def test_objective_carries_its_encoder():
     assert np.isfinite(eval_ssl(cpc, params, windows, np.random.default_rng(2)).item())
     with pytest.raises(PretextError, match="bad value for pretext encoder"):
         objective_from_config({"kind": "cpc", "encoder": {"blocks": 3, "embedding_dim": 8}})
+
+
+def test_objective_integer_fields_take_only_integral_numbers():
+    for kind, key in (("cpc", "horizon"), ("cpc", "frame_len"), ("simclr", "proj_dim")):
+        for bad in (2.5, "40", "x", False):
+            with pytest.raises(PretextError, match=f"bad value for pretext {key}"):
+                objective_from_config({"kind": kind, key: bad})
+        value = getattr(objective_from_config({"kind": kind, key: 40.0}), key)
+        assert value == 40 and type(value) is int
 
 
 def test_objective_from_config_rejects_unknown_keys():

@@ -13,7 +13,8 @@ from metareplay import tensor as T
 from metareplay.tensor import (GraphError, NumericError, ShapeError, Tensor,
                                backward)
 
-from gradcheck import check_grad, leaf, primitive_cases, random_net_cases, scalarize
+from gradcheck import (analytic_grads, check_grad, leaf, primitive_cases, random_net_cases,
+                       scalarize)
 
 
 @pytest.fixture
@@ -109,7 +110,7 @@ def test_conv1d_weight_grad_is_one_product_with_the_forward_im2col(rng, stride, 
     w = Tensor(rng.standard_normal((4, 3, 3)).astype(np.float32), requires_grad=True)
     out = T.conv1d(x, w, stride=stride, padding=padding)
     g = rng.standard_normal(out.shape).astype(np.float32)
-    backward(T.sum_(T.mul(out, g)))
+    (dw,) = backward(T.sum_(T.mul(out, g)), [w])
     n, c, t = x.shape
     f, _, k = w.shape
     t_out = out.shape[2]
@@ -120,7 +121,7 @@ def test_conv1d_weight_grad_is_one_product_with_the_forward_im2col(rng, stride, 
         cols4[:, :, :, kk] = xpt[:, kk:kk + stride * t_out:stride, :]
     cols = cols4.reshape(n * t_out, c * k)
     g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * t_out, f)
-    np.testing.assert_array_equal(w.grad, (g2.T @ cols).reshape(f, c, k))
+    np.testing.assert_array_equal(dw, (g2.T @ cols).reshape(f, c, k))
 
 
 def test_conv1d_input_without_grad_gets_none_and_same_weight_grad(rng):
@@ -132,9 +133,9 @@ def test_conv1d_input_without_grad_gets_none_and_same_weight_grad(rng):
     for x_needs in (True, False):
         x = Tensor(x0.copy(), requires_grad=x_needs)
         w = Tensor(w0.copy(), requires_grad=True)
-        backward(T.sum_(T.mul(T.conv1d(x, w, stride=2, padding=1), 0.5)))
-        assert (x.grad is None) != x_needs
-        grads.append(w.grad)
+        dx, dw = backward(T.sum_(T.mul(T.conv1d(x, w, stride=2, padding=1), 0.5)), [x, w])
+        assert (dx is None) != x_needs
+        grads.append(dw)
     np.testing.assert_array_equal(grads[0], grads[1])
 
 
@@ -145,8 +146,8 @@ def test_relu_values_and_gradient_mask():
     assert out.data.dtype == np.float32
     np.testing.assert_array_equal(
         out.data, np.array([[0.0, 0.0, 0.0, 1e-30, 3.0]], dtype=np.float32))
-    backward(T.sum_(T.mul(out, np.arange(1, 6, dtype=np.float32))))
-    np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 0.0, 4.0, 5.0]])
+    (dx,) = backward(T.sum_(T.mul(out, np.arange(1, 6, dtype=np.float32))), [x])
+    np.testing.assert_array_equal(dx, [[0.0, 0.0, 0.0, 4.0, 5.0]])
 
 
 def _block_epilogue(fused, head):
@@ -171,8 +172,7 @@ def _block_epilogue(fused, head):
     else:
         out = T.global_mean_pool(h)
     loss = T.sum_(T.mul(out, np.cos(np.arange(out.size, dtype=np.float32)).reshape(out.shape)))
-    backward(loss)
-    return loss.data, h.data, x.grad, gain.grad, bias.grad
+    return (loss.data, h.data, *backward(loss, [x, gain, bias]))
 
 
 @pytest.mark.parametrize("head", ["conv", "pool"])
@@ -195,7 +195,8 @@ def test_layer_norm_epilogue_gradcheck(rng):
     def f(x, g, b):
         return scalarize(T.layer_norm(x, epilogue=(g, b)))
     check_grad(f, [x, gain, bias], tol=1e-3)
-    assert not gain.grad[1].any() and gain.grad[0].all()
+    _, dgain, _ = analytic_grads(f, [x, gain, bias])
+    assert not dgain[1].any() and dgain[0].all()
 
 
 def test_layer_norm_epilogue_raises_where_the_chain_does():
@@ -318,39 +319,81 @@ def test_gradcheck_random_net(case):
 def test_fanout_gradients_accumulate():
     x = Tensor(np.array([1.5, -0.5], dtype=np.float32), requires_grad=True)
     y = T.sum_(T.add(T.mul(x, x), x))     # x^2 + x -> 2x + 1
-    backward(y)
-    np.testing.assert_allclose(x.grad, 2 * x.data + 1, rtol=1e-6)
+    (dx,) = backward(y, [x])
+    np.testing.assert_allclose(dx, 2 * x.data + 1, rtol=1e-6)
 
 
-def test_backward_overwrites_grad():
-    x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-    loss = T.sum_(T.mul(x, 2.0))
-    backward(loss)
-    first = x.grad.copy()
-    loss2 = T.sum_(T.mul(x, 2.0))
-    backward(loss2)
-    np.testing.assert_allclose(x.grad, first)
+def _shared_leaf_losses(rng):
+    """Three differently shaped losses over the same two leaves."""
+    x, w = leaf(rng, 4, 6), leaf(rng, 6, 3)
+    losses = [lambda: T.cross_entropy_with_logits(T.matmul(T.tanh(x), w),
+                                                  np.array([0, 1, 2, 0])),
+              lambda: T.sum_(T.mul(T.matmul(x, w), T.matmul(x, w))),
+              lambda: T.mean(T.exp(T.mul(T.matmul(x, w), 0.25)))]
+    return [x, w], losses
 
 
-def test_backward_keeps_grads_on_leaves_only(rng):
-    x = leaf(rng, 3, 4)
+def _grad_bytes(grads):
+    return [g.tobytes() for g in grads]
+
+
+def test_graphs_on_shared_leaves_give_their_own_gradients(rng):
+    # every graph is built before any backward runs: each call must return
+    # the bytes its loss gets when taken alone, and no leaf is written to
+    leaves, losses = _shared_leaf_losses(rng)
+    alone = [_grad_bytes(backward(loss(), leaves)) for loss in losses]
+    before = [x.data.tobytes() for x in leaves]
+    built = [loss() for loss in losses]
+    assert [_grad_bytes(backward(loss, leaves)) for loss in reversed(built)] \
+        == alone[::-1]
+    assert [x.data.tobytes() for x in leaves] == before
+    assert all(not hasattr(x, "grad") for x in leaves)
+
+
+def test_graphs_on_shared_leaves_on_threads_match_serial(rng, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    leaves, losses = _shared_leaf_losses(rng)
+    losses = losses * 4
+    serial = [_grad_bytes(backward(loss(), leaves)) for loss in losses]
+    threads = set()
+
+    def run(loss):
+        threads.add(threading.get_ident())
+        built = loss()
+        time.sleep(0.001)                   # let the other threads build theirs
+        return _grad_bytes(backward(built, leaves))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert list(T.parallel_map(run, losses)) == serial
+    finally:
+        sys.setswitchinterval(old)
+    assert len(threads) > 1
+
+
+def test_backward_returns_none_for_what_is_not_a_reached_leaf(rng):
+    x, unused = leaf(rng, 3, 4), leaf(rng, 2)
     h = T.tanh(x)
     loss = T.sum_(T.mul(h, h))
-    backward(loss)
-    assert x.grad is not None and x.grad.shape == (3, 4)
-    assert h.grad is None and loss.grad is None
+    dx, dh, dloss, dunused = backward(loss, [x, h, loss, unused])
+    assert dx is not None and dx.shape == (3, 4)
+    assert dh is None and dloss is None and dunused is None
 
 
 def test_backward_consumes_the_graph(rng):
     x = leaf(rng, 3, 4)
     h = T.tanh(x)
     loss = T.sum_(h)
-    backward(loss)
+    backward(loss, [x])
     with pytest.raises(GraphError, match="consumed"):
-        backward(loss)
+        backward(loss, [x])
     # a second loss on the consumed node must not look like one on a leaf
     with pytest.raises(GraphError, match="consumed"):
-        backward(T.sum_(T.mul(h, 2.0)))
+        backward(T.sum_(T.mul(h, 2.0)), [x])
 
 
 def _owner(a):
@@ -394,9 +437,9 @@ def test_backward_leaves_a_held_op_output_intact(rng):
     h = T.conv1d(x, w, padding=1)
     before = h.data.copy()
     ones, zeros = np.ones((4, 1), np.float32), np.zeros((4, 1), np.float32)
-    backward(T.sum_(T.layer_norm(h, epilogue=(ones, zeros))))
+    dh, dx, dw = backward(T.sum_(T.layer_norm(h, epilogue=(ones, zeros))), [h, x, w])
     np.testing.assert_array_equal(h.data, before)
-    assert h.grad is None and x.grad is not None and w.grad is not None
+    assert dh is None and dx is not None and dw is not None
 
 
 def _simclr_batch64():
@@ -469,47 +512,47 @@ def test_backward_rejects_non_scalar():
     x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     y = T.mul(x, 3.0)
     with pytest.raises(GraphError):
-        backward(y)
+        backward(y, [x])
 
 
 def test_backward_rejects_detached_scalar():
     x = Tensor(np.float32(2.0))
     with pytest.raises(GraphError):
-        backward(x)
+        backward(x, [x])
 
 
 def test_detach_stops_gradient():
     x = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
     y = T.sum_(T.mul(Tensor(x.data), x))  # d/dx (c * x) = c
-    backward(y)
-    np.testing.assert_allclose(x.grad, x.data)
+    (dx,) = backward(y, [x])
+    np.testing.assert_allclose(dx, x.data)
 
 
 def test_no_graph_without_requires_grad():
     a = Tensor(np.ones(3, dtype=np.float32))
     out = T.sum_(T.mul(a, a))
     with pytest.raises(GraphError):
-        backward(out)
+        backward(out, [a])
 
 
 def test_broadcast_gradient_shapes(rng):
     a = leaf(rng, 3, 1)
     b = leaf(rng, 1, 4)
     loss = T.sum_(T.add(a, b))
-    backward(loss)
-    assert a.grad.shape == (3, 1)
-    assert b.grad.shape == (1, 4)
-    np.testing.assert_allclose(a.grad, np.full((3, 1), 4.0))
-    np.testing.assert_allclose(b.grad, np.full((1, 4), 3.0))
+    da, db = backward(loss, [a, b])
+    assert da.shape == (3, 1)
+    assert db.shape == (1, 4)
+    np.testing.assert_allclose(da, np.full((3, 1), 4.0))
+    np.testing.assert_allclose(db, np.full((1, 4), 3.0))
 
 
 def test_getitem_sugar_routes_through_slice(rng):
     x = leaf(rng, 4, 5)
     y = x[1:3, ::2]
     assert y.shape == (2, 3)
-    backward(T.sum_(y))
-    assert x.grad.shape == (4, 5)
-    assert x.grad.sum() == pytest.approx(6.0)
+    (dx,) = backward(T.sum_(y), [x])
+    assert dx.shape == (4, 5)
+    assert dx.sum() == pytest.approx(6.0)
 
 
 def test_backward_linearity(rng):
@@ -524,14 +567,10 @@ def test_backward_linearity(rng):
 
     a, b = 0.7, -1.3
     x = Tensor(x0.copy(), requires_grad=True)
-    backward(T.add(T.mul(f(x), a), T.mul(g(x), b)))
-    combined = x.grad.copy()
-
-    x1 = Tensor(x0.copy(), requires_grad=True)
-    backward(f(x1))
-    x2 = Tensor(x0.copy(), requires_grad=True)
-    backward(g(x2))
-    np.testing.assert_allclose(combined, a * x1.grad + b * x2.grad, atol=1e-5)
+    (combined,) = backward(T.add(T.mul(f(x), a), T.mul(g(x), b)), [x])
+    (df,) = backward(f(x), [x])
+    (dg,) = backward(g(x), [x])
+    np.testing.assert_allclose(combined, a * df + b * dg, atol=1e-5)
 
 
 def test_forward_and_backward_bit_deterministic():
@@ -545,8 +584,8 @@ def test_forward_and_backward_bit_deterministic():
                    requires_grad=True)
         out = T.cross_entropy_with_logits(T.matmul(T.tanh(x), w),
                                           np.array([0, 1, 2, 0]))
-        backward(out)
-        return out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
+        dx, dw = backward(out, [x, w])
+        return out.data.tobytes(), dx.tobytes(), dw.tobytes()
 
     assert run(rng1) == run(rng2)
 
