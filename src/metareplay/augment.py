@@ -17,6 +17,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .config import from_config, json_object
+
 
 class AugmentError(ValueError):
     """Invalid augmentation parameters."""
@@ -89,15 +91,12 @@ def kind_from_config(entry: dict | str) -> AugmentKind:
     """Build a kind from a config entry, either a name or {"kind": name, ...params}."""
     if isinstance(entry, str):
         entry = {"kind": entry}
-    entry = dict(entry)
+    entry = json_object(entry, AugmentError, "augmentation kind")
     name = str(entry.pop("kind", "")).lower()
     if name not in _KIND_NAMES:
         raise AugmentError(f"unknown augmentation kind {name!r}; "
                            f"expected one of {sorted(_KIND_NAMES)}")
-    try:
-        return _KIND_NAMES[name](**entry)
-    except TypeError as e:
-        raise AugmentError(f"bad parameters for {name}: {e}") from None
+    return from_config(_KIND_NAMES[name], entry, AugmentError, name)
 
 
 def kind_name(kind: AugmentKind) -> str:

@@ -1,0 +1,48 @@
+"""The one rule that reads a config dataclass from JSON: a config is a
+JSON object whose keys are fields of its class; a field with a builder
+is built by it, an int field takes integral(value), and any other value
+goes to the class as given, whose __post_init__ checks it.
+"""
+
+from __future__ import annotations
+
+import numbers
+from dataclasses import fields
+
+
+def integral(value) -> int:
+    """An integral config number (3 or 3.0) as an int; ValueError otherwise."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) or \
+            isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def json_object(cfg, error: type[Exception], where: str, keys=None) -> dict:
+    """A copy of cfg, which must be a JSON object with no key outside keys
+    (when given); else error naming where."""
+    if not isinstance(cfg, dict):
+        raise error(f"{where} must be a JSON object, got {cfg!r}")
+    unknown = sorted(set(cfg) - set(keys)) if keys is not None else []
+    if unknown:
+        raise error(f"unknown keys in {where!r}: {unknown}")
+    return dict(cfg)
+
+
+def from_config(cls, cfg, error: type[Exception], where: str, builders=None):
+    """cls read from cfg by the rule above; builders maps a field name to
+    its builder. A non-object, an unknown key, or a value that its builder
+    rejects with TypeError or ValueError raises error naming where.key."""
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = json_object(cfg, error, where, types)
+    builders = {**{name: integral for name, t in types.items() if t in ("int", int)},
+                **(builders or {})}
+    for name in [name for name in cfg if name in builders]:
+        try:
+            kwargs[name] = builders[name](cfg[name])
+        except (TypeError, ValueError) as e:
+            raise error(f"bad value for {where}.{name}: {e}") from None
+    try:
+        return cls(**kwargs)
+    except TypeError as e:                  # a value of the wrong JSON type
+        raise error(f"bad value in {where!r}: {e}") from None

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -193,13 +193,12 @@ def compute_norm_stats(values: np.ndarray) -> NormStats:
     return NormStats(mid=mid.astype(np.float32), scale=scale.astype(np.float32))
 
 
-def apply_norm(ds: Dataset, stats: NormStats, clip: bool = True) -> Dataset:
-    """A copy of ds mapped by stats, clipped to [-1, 1] unless clip is
-    False; one float32 buffer is built and scaled and clipped in place."""
+def apply_norm(ds: Dataset, stats: NormStats) -> Dataset:
+    """A copy of ds mapped by stats and clipped to [-1, 1]; one float32
+    buffer is built and scaled and clipped in place."""
     v = ds.values - stats.mid[None, :, None]
     v *= stats.scale[None, :, None]
-    if clip:
-        np.clip(v, -1.0, 1.0, out=v)
+    np.clip(v, -1.0, 1.0, out=v)
     return replace(ds, values=v, norm=stats)
 
 
@@ -215,7 +214,7 @@ def normalize(ds: Dataset) -> Dataset:
     return apply_norm(ds, compute_norm_stats(ds.values))
 
 
-def exclude_small_domains(ds: Dataset, min_count: int = 500) -> Dataset:
+def exclude_small_domains(ds: Dataset, min_count: int) -> Dataset:
     """Drop domains with fewer than min_count windows and re-index densely."""
     counts = np.bincount(ds.domains, minlength=ds.n_domains)
     keep = np.flatnonzero(counts >= min_count)
@@ -237,15 +236,14 @@ def exclude_small_domains(ds: Dataset, min_count: int = 500) -> Dataset:
 # ---------------------------------------------------------------------------
 # splits
 
-def pool_split(indices: np.ndarray, rng: np.random.Generator,
-               pool_frac: float = 0.7, train_frac: float = 0.9
+def pool_split(indices: np.ndarray, rng: np.random.Generator
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """70% of the given windows form the pretraining pool, split 90/10
     into train/val; the remaining 30% is returned as the third array."""
     perm = rng.permutation(indices)
-    n_pool = int(pool_frac * len(indices))
+    n_pool = int(0.7 * len(indices))
     pool = perm[:n_pool]
-    n_tr = int(train_frac * n_pool)
+    n_tr = int(0.9 * n_pool)
     return np.sort(pool[:n_tr]), np.sort(pool[n_tr:]), np.sort(perm[n_pool:])
 
 

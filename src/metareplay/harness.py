@@ -28,7 +28,7 @@ import hashlib
 import json
 import sys
 import traceback
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -37,6 +37,7 @@ import numpy as np
 from .adapt import (FinetuneConfig, PretrainedModel, ReplayConfig, _MODE_NEEDS, MODES,
                     META, finetune, run_pipeline, save_pretrained)
 from .augment import Rotate3D
+from .config import from_config, integral, json_object
 from .data import (Dataset, DomainRecipe, SynthSpec, compute_norm_stats,
                    apply_norm, default_synth_spec, exclude_small_domains, make_split,
                    pool_split, read_csv_dataset, read_dataset, stratified_shot_split,
@@ -47,8 +48,8 @@ from .models import EncoderConfig, encode
 from .optim import adam_step
 from .params import ParamVector, grad_of
 from .pretext import (OBJECTIVES, PretextError, PretextObjective, eval_ssl,
-                      init_for_objective, integral, min_batch, objective_from_config,
-                      objective_kind, objective_to_config)
+                      init_for_objective, min_batch, objective_from_config,
+                      objective_kind, objective_to_config, pretext_kind)
 from .tensor import parallel_map
 
 
@@ -94,19 +95,6 @@ PRESETS = {
 }
 
 
-def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
-    unknown = set(given) - allowed
-    if unknown:
-        raise PlanError(f"unknown keys in {section!r}: {sorted(unknown)}")
-
-
-def _object(where: str, value) -> dict:
-    """A copy of a plan value that must be a JSON object."""
-    if not isinstance(value, dict):
-        raise PlanError(f"{where} must be a JSON object, got {value!r}")
-    return dict(value)
-
-
 def _list(where: str, value) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise PlanError(f"{where} must be a list, got {value!r}")
@@ -119,20 +107,6 @@ def _coerce(where: str, typ, value):
         return integral(value) if typ is int else typ(value)
     except (TypeError, ValueError) as e:
         raise PlanError(f"bad value for {where}: {e}") from None
-
-
-def _build(section: str, cls, given):
-    """cls(**given), given's keys checked against cls's fields, ints coerced."""
-    given = _object(section, given)
-    types = {f.name: f.type for f in fields(cls)}
-    _check_keys(section, given, set(types))
-    for name, value in given.items():
-        if types[name] in ("int", int):
-            given[name] = _coerce(f"{section}.{name}", int, value)
-    try:
-        return cls(**given)
-    except TypeError as e:                  # a value of the wrong JSON type
-        raise PlanError(f"bad value in {section!r}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -190,14 +164,15 @@ class ExperimentPlan:
 def load_plan(source) -> ExperimentPlan:
     """Parse a plan from a JSON file path or an equivalent dict.
 
-    Keys and defaults come from the config dataclasses. The meta, replay
-    and finetune sections take the fields of MetaHyper, ReplayConfig and
-    FinetuneConfig (meta also accepts its derived multi_task_fraction);
-    pretext takes "kind" and the fields of that objective class;
-    recipes take DomainRecipe's fields; the sweep's plain_* keys map to
-    PretrainHyper's fields (_PLAIN_FIELDS); synthetic-data defaults are
-    default_synth_spec()'s. plan.raw is written from the parsed objects,
-    so it spells out every default.
+    Keys and defaults come from the config dataclasses, read by
+    config.from_config: the meta, replay and finetune sections are
+    MetaHyper, ReplayConfig and FinetuneConfig (meta also accepts its
+    derived multi_task_fraction), recipes are DomainRecipes, and pretext
+    is "kind" plus that objective's fields (objective_from_config).
+    replay.kind and sweep.study_kinds name pretext kinds in any case. The
+    sweep's plain_* keys map to PretrainHyper's fields (_PLAIN_FIELDS);
+    synthetic-data defaults are default_synth_spec()'s. plan.raw is
+    written from the parsed objects, so it spells out every default.
     """
     if isinstance(source, dict):
         raw = source
@@ -210,8 +185,7 @@ def load_plan(source) -> ExperimentPlan:
     if unknown:
         raise PlanError(f"unknown plan sections: {sorted(unknown)}")
 
-    sweep_in = _object("sweep", raw.get("sweep", {}))
-    _check_keys("sweep", sweep_in, _SWEEP_KEYS)
+    sweep_in = json_object(raw.get("sweep", {}), PlanError, "sweep", _SWEEP_KEYS)
     preset_name = sweep_in.pop("preset", None)
     preset = {}
     if preset_name is not None:
@@ -221,10 +195,9 @@ def load_plan(source) -> ExperimentPlan:
         preset = PRESETS[preset_name]
 
     def section(name: str) -> dict:
-        return {**preset.get(name, {}), **_object(name, raw.get(name, {}))}
+        return {**preset.get(name, {}), **json_object(raw.get(name, {}), PlanError, name)}
 
-    data = section("data")
-    _check_keys("data", data, _DATA_KEYS)
+    data = json_object(section("data"), PlanError, "data", _DATA_KEYS)
     data_path = data.get("path")
     if data_path is not None and not isinstance(data_path, str):
         raise PlanError(f"data.path must be a string, got {data_path!r}")
@@ -237,8 +210,7 @@ def load_plan(source) -> ExperimentPlan:
     if synth_cfg is not None:
         if data_path is not None:
             raise PlanError("give either data.path or data.synth, not both")
-        synth_cfg = _object("data.synth", synth_cfg)
-        _check_keys("data.synth", synth_cfg, _SYNTH_KEYS)
+        synth_cfg = json_object(synth_cfg, PlanError, "data.synth", _SYNTH_KEYS)
         synth_seed = _coerce("data.synth.seed", int, synth_cfg.get("seed", 0))
         n_domains = _coerce("data.synth.n_domains", int,
                             synth_cfg.get("n_domains", len(_SYNTH_DEFAULT.domains)))
@@ -249,7 +221,8 @@ def load_plan(source) -> ExperimentPlan:
         if recipes is None:
             domains = default_synth_spec(n_domains).domains
         else:
-            domains = tuple(_build(f"data.synth.recipes[{i}]", DomainRecipe, r)
+            domains = tuple(from_config(DomainRecipe, r, PlanError,
+                                        f"data.synth.recipes[{i}]")
                             for i, r in enumerate(_list("data.synth.recipes", recipes)))
         synth_spec = SynthSpec(domains=domains, **sizes)
 
@@ -260,13 +233,14 @@ def load_plan(source) -> ExperimentPlan:
 
     meta_in = section("meta")
     meta_in.pop("multi_task_fraction", None)      # informational; recomputed
-    meta_hyper = _build("meta", MetaHyper, meta_in)
+    meta_hyper = from_config(MetaHyper, meta_in, PlanError, "meta")
 
     replay_in = section("replay")
     if replay_in.get("lr") is None:
         replay_in["lr"] = meta_hyper.alpha       # replay reuses the inner rate
-    replay_cfg = _build("replay", ReplayConfig, replay_in)
-    finetune_cfg = _build("finetune", FinetuneConfig, section("finetune"))
+    replay_cfg = from_config(ReplayConfig, replay_in, PlanError, "replay",
+                             {"kind": lambda k: None if k is None else pretext_kind(k)})
+    finetune_cfg = from_config(FinetuneConfig, section("finetune"), PlanError, "finetune")
 
     sweep = {**preset.get("sweep", {}), **sweep_in}
     modes = _list("sweep.modes", sweep.get("modes", MODES))
@@ -279,10 +253,6 @@ def load_plan(source) -> ExperimentPlan:
                   for s in _list("sweep.shots", sweep.get("shots", (1, 2, 5, 10))))
     if not shots or any(s < 1 for s in shots):
         raise PlanError(f"sweep.shots must be positive and non-empty, got {shots}")
-    for key, values in (("modes", modes), ("shots", shots)):
-        repeated = sorted({v for v in values if values.count(v) > 1})
-        if repeated:                            # each cell would run twice
-            raise PlanError(f"sweep.{key} repeats {repeated}")
     n_seeds = _coerce("sweep.seeds", int, sweep.get("seeds", 5))
     if n_seeds < 1:
         raise PlanError(f"sweep.seeds must be >= 1, got {n_seeds}")
@@ -292,11 +262,14 @@ def load_plan(source) -> ExperimentPlan:
         name: _coerce(f"sweep.{key}", type(getattr(plain_default, name)), sweep[key])
         for key, name in _PLAIN_FIELDS.items() if key in sweep})
     study_kinds = _list("sweep.study_kinds", sweep.get("study_kinds", tuple(OBJECTIVES)))
-    for kind in study_kinds:
-        try:
-            objective_from_config({"kind": kind})
-        except PretextError as e:
-            raise PlanError(f"sweep.study_kinds: {e}") from None
+    try:
+        folded = tuple(pretext_kind(kind) for kind in study_kinds)
+    except PretextError as e:
+        raise PlanError(f"sweep.study_kinds: {e}") from None
+    for key, values in (("modes", modes), ("shots", shots), ("study_kinds", folded)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:                    # each cell or study arm would run twice
+            raise PlanError(f"sweep.{key} repeats {repeated}")
     study_shots = _coerce("sweep.study_shots", int, sweep.get("study_shots", 5))
     if study_shots < 1:
         raise PlanError(f"sweep.study_shots must be >= 1, got {study_shots}")
@@ -530,7 +503,8 @@ def leave_one_domain_out(plan: ExperimentPlan,
     the last frames of its traceback, and the sweep continues. A failing
     pre-training fails only the cells whose mode needs that method, each
     with the pre-training's error and traceback, and writes no checkpoint
-    or log for it.
+    or log for it. A replay.kind other than the plan's pretext kind is a
+    PlanError before any pre-training.
 
     A target's cells share its pre-trained models, run through
     tensor.parallel_map (one thread per usable CPU when BLAS is pinned to
@@ -539,6 +513,10 @@ def leave_one_domain_out(plan: ExperimentPlan,
     output is byte-identical to a serial loop. Targets run one at a time,
     because two concurrent pre-trainings raised peak memory by 40%.
     """
+    kind = objective_kind(plan.objective)
+    if plan.replay_cfg.kind not in (None, kind):  # every cell would fail on it
+        raise PlanError(f"replay.kind {plan.replay_cfg.kind!r} does not match the "
+                        f"pretext kind {kind!r}")
     ds = _sweep_dataset(plan, [plan.objective], "leave-one-domain-out")
     out_path = Path(out_dir) if out_dir else None
     if out_path:

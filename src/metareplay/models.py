@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import from_config, integral
 from .params import ParamVector
 from .tensor import ShapeError, Tensor
 
@@ -54,13 +55,11 @@ def encoder_from_config(raw: dict) -> EncoderConfig:
     """Inverse of encoder_to_config; {} or None is the default encoder."""
     if not raw:
         return EncoderConfig()
-    if not isinstance(raw, dict):
-        raise ShapeError(f"encoder config must be a JSON object, got {raw!r}")
-    if set(raw) != {"blocks", "embedding_dim"}:
-        raise ShapeError(f"encoder config needs exactly the keys blocks and "
-                         f"embedding_dim, got {sorted(raw)}")
-    return EncoderConfig(blocks=tuple(tuple(b) for b in raw["blocks"]),
-                         embedding_dim=int(raw["embedding_dim"]))
+    if not isinstance(raw, dict) or set(raw) != {"blocks", "embedding_dim"}:
+        raise ShapeError(f"encoder config must be a JSON object with exactly the "
+                         f"keys blocks and embedding_dim, got {raw!r}")
+    return from_config(EncoderConfig, raw, ShapeError, "encoder",
+                       {"blocks": lambda bs: tuple(tuple(map(integral, b)) for b in bs)})
 
 
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
@@ -175,14 +174,14 @@ def _gru_cell(params: ParamVector, x_t: Tensor, h: Tensor) -> Tensor:
     return T.add(T.sub(n, T.mul(z, n)), T.mul(z, h))
 
 
-def aggregate_and_predict(params: ParamVector, frame_emb: Tensor, horizon: int,
-                          anchor: int | None = None) -> tuple[Tensor, Tensor]:
-    """Run the gated recurrent aggregator over frames 1..anchor and predict
-    the next ``horizon`` frame embeddings from the final context.
+def aggregate_and_predict(params: ParamVector, frame_emb: Tensor,
+                          horizon: int) -> tuple[Tensor, Tensor]:
+    """Run the gated recurrent aggregator over the first steps - horizon
+    frames and predict the last ``horizon`` frame embeddings from the
+    final context.
 
-    frame_emb: [n, steps, dim]. anchor defaults to steps - horizon so the
-    predictions cover the last frames. Returns (context [n, dim],
-    predictions [n, horizon, dim]).
+    frame_emb: [n, steps, dim]. Returns (context [n, dim], predictions
+    [n, horizon, dim]).
     """
     if frame_emb.ndim != 3:
         raise ShapeError(f"expected [n, steps, dim], got {frame_emb.shape}")
@@ -191,12 +190,8 @@ def aggregate_and_predict(params: ParamVector, frame_emb: Tensor, horizon: int,
         raise ShapeError(f"horizon must be >= 1, got {horizon}")
     if horizon >= steps:
         raise ShapeError(f"horizon {horizon} must be < steps {steps}")
-    if anchor is None:
-        anchor = steps - horizon
-    if not 1 <= anchor <= steps - horizon:
-        raise ShapeError(f"anchor {anchor} outside [1, {steps - horizon}]")
     h = Tensor(np.zeros((n, d), np.float32))
-    for t in range(anchor):
+    for t in range(steps - horizon):
         h = _gru_cell(params, frame_emb[:, t, :], h)
     preds = [T.reshape(T.add(T.matmul(h, params[f"head.pred{k}.w"]),
                              params[f"head.pred{k}.b"]), (n, 1, d))

@@ -14,7 +14,7 @@ u32 per dim, and the float32 payload.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 

@@ -13,7 +13,6 @@ entry point the pre-training and adaptation loops call.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 from typing import Union
 
@@ -23,6 +22,7 @@ from . import tensor as T
 from .augment import (AugmentKind, default_multitask_kinds, default_simclr_pipeline,
                       kind_from_config, kind_name, paired_views_batch,
                       sample_task_batch)
+from .config import from_config, json_object
 from .models import (EncoderConfig, aggregate_and_predict, detect, encode,
                      encode_frames, encoder_from_config, encoder_to_config,
                      init_bundle, project, split_frames)
@@ -98,46 +98,31 @@ def min_batch(obj: PretextObjective) -> int:
     return 1
 
 
-def integral(value) -> int:
-    """An integral config number (3 or 3.0) as an int; ValueError otherwise."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) or \
-            isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
+def pretext_kind(name) -> str:
+    """A pretext kind name, case-folded; PretextError unless it names one."""
+    kind = str(name).lower()
+    if kind not in OBJECTIVES:
+        raise PretextError(f"unknown pretext kind {kind!r}")
+    return kind
+
+
+def _kinds(entries) -> tuple[AugmentKind, ...]:
+    return tuple(kind_from_config(e) for e in entries)
+
+
+_BUILDERS = {"encoder": encoder_from_config, "pipeline": _kinds, "kinds": _kinds,
+             "tau": float, "apply_prob": float}
 
 
 def objective_from_config(cfg: dict) -> PretextObjective:
-    """Build an objective from "kind" plus any of its class's fields.
-
-    Augmentation lists and the encoder are built with kind_from_config
-    and encoder_from_config; scalars take the type of the field's
-    default, so a JSON 1 for a temperature is 1.0 (integral for an int).
-    A value that its builder or type rejects raises PretextError.
+    """Build an objective from "kind" (default simclr, any case) plus any
+    of its class's fields, read by config.from_config with _BUILDERS:
+    floats are read as floats, so a JSON 1 for a temperature is 1.0. A
+    rejected key or value raises PretextError naming pretext.key.
     """
-    cfg = dict(cfg)
-    kind = str(cfg.pop("kind", "simclr")).lower()
-    if kind not in OBJECTIVES:
-        raise PretextError(f"unknown pretext kind {kind!r}")
-    cls = OBJECTIVES[kind]
-    defaults = cls()
-    kwargs = {}
-    for f in fields(cls):
-        if f.name in cfg:
-            default, value = getattr(defaults, f.name), cfg.pop(f.name)
-            try:
-                if isinstance(default, EncoderConfig):
-                    kwargs[f.name] = encoder_from_config(value)
-                elif isinstance(default, tuple):
-                    kwargs[f.name] = tuple(kind_from_config(e) for e in value)
-                else:
-                    kwargs[f.name] = (integral if isinstance(default, int)
-                                      else type(default))(value)
-            except (TypeError, ValueError) as e:    # wrong JSON type, or rejected
-                raise PretextError(f"bad value for pretext {f.name}: {e}") from None
-    obj = cls(**kwargs)
-    if cfg:
-        raise PretextError(f"unknown pretext config keys: {sorted(cfg)}")
-    return obj
+    cfg = json_object(cfg, PretextError, "pretext")
+    cls = OBJECTIVES[pretext_kind(cfg.pop("kind", "simclr"))]
+    return from_config(cls, cfg, PretextError, "pretext", _BUILDERS)
 
 
 def objective_to_config(obj: PretextObjective) -> dict:
@@ -258,9 +243,8 @@ def eval_ssl(obj: PretextObjective, params: ParamVector, windows: np.ndarray,
         if obj.horizon >= steps:
             raise PretextError(f"horizon {obj.horizon} needs more than "
                                f"{steps} frames per window")
-        anchor = steps - obj.horizon
-        _ctx, preds = aggregate_and_predict(params, emb, obj.horizon, anchor)
-        targets = emb[:, anchor:anchor + obj.horizon, :]
+        _ctx, preds = aggregate_and_predict(params, emb, obj.horizon)
+        targets = emb[:, steps - obj.horizon:, :]
         return cpc_loss(preds, targets, obj.tau)
 
     aug, labels = sample_task_batch(windows, obj.kinds, rng, obj.apply_prob)

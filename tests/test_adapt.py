@@ -282,16 +282,31 @@ def test_pretrained_loads_the_old_sidecar_layout(tmp_path):
     assert back.params.max_abs_diff(params) == 0.0
 
 
-@pytest.mark.parametrize("sidecar", [{}, {"pretext": {"kind": "simclr"}},
-                                     {"method": "meta", "pretext": [1]},
-                                     {"method": "meta"}, [],
-                                     {"method": "meta", "pretext": {
-                                         "kind": "simclr",
-                                         "encoder": {"blocks": [], "embedding_dim": 8}}}])
-def test_pretrained_malformed_sidecar(tmp_path, obj, sidecar):
+# pretext sections with a non-integral size, and the key each names; a
+# plan with one of them fails to load the same way (test_harness)
+NOT_INTEGRAL = [
+    ({"encoder": {"blocks": [[8, 5.5, 2]], "embedding_dim": 8}}, "encoder.blocks"),
+    ({"encoder": {"blocks": [[8, 5, 2]], "embedding_dim": 8.7}}, "encoder.embedding_dim"),
+    ({"pipeline": [{"kind": "permute", "n_segments": 2.5}]}, "permute.n_segments"),
+    ({"pipeline": [{"kind": "permute", "n_segments": True}]}, "permute.n_segments"),
+]
+
+
+MALFORMED_SIDECARS = [(s, "") for s in (
+    {}, {"pretext": {"kind": "simclr"}}, {"method": "meta", "pretext": [1]},
+    {"method": "meta"}, [],
+    {"method": "meta", "pretext": {"kind": "simclr",
+                                   "encoder": {"blocks": [], "embedding_dim": 8}}})]
+MALFORMED_SIDECARS += [({"method": "meta", "pretext": pretext}, key)
+                       for pretext, key in NOT_INTEGRAL]
+
+
+@pytest.mark.parametrize("sidecar,key", MALFORMED_SIDECARS,
+                         ids=[f"sidecar{i}" for i in range(len(MALFORMED_SIDECARS))])
+def test_pretrained_malformed_sidecar(tmp_path, obj, sidecar, key):
     params_for(obj).save(tmp_path / "bad.adp2")
     (tmp_path / "bad.adp2.json").write_text(json.dumps(sidecar))
-    with pytest.raises(ConfigError, match="malformed model sidecar"):
+    with pytest.raises(ConfigError, match=f"malformed model sidecar.*{key}"):
         load_pretrained(tmp_path / "bad.adp2")
 
 

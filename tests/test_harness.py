@@ -21,6 +21,16 @@ from metareplay.models import EncoderConfig, init_bundle
 from metareplay.pretext import SimCLRObjective, init_for_objective, objective_to_config
 
 
+# pretext sections with a non-integral size, and the key each names; a
+# model sidecar with one of them fails to load the same way (test_adapt)
+NOT_INTEGRAL = [
+    ({"encoder": {"blocks": [[8, 5.5, 2]], "embedding_dim": 8}}, "encoder.blocks"),
+    ({"encoder": {"blocks": [[8, 5, 2]], "embedding_dim": 8.7}}, "encoder.embedding_dim"),
+    ({"pipeline": [{"kind": "permute", "n_segments": 2.5}]}, "permute.n_segments"),
+    ({"pipeline": [{"kind": "permute", "n_segments": True}]}, "permute.n_segments"),
+]
+
+
 def micro_plan_dict(**sweep_extra):
     """2 domains x 2 classes, everything shrunk until a full sweep takes
     seconds: the structure of the outputs is what is under test here."""
@@ -96,6 +106,10 @@ def test_mode_shot_seed_validation():
         load_plan({"sweep": {"modes": "full"}})
     with pytest.raises(PlanError, match="study_kinds"):
         load_plan({"sweep": {"study_kinds": ["nope"]}})
+    # one kind in two spellings would be studied twice; the spelling is kept
+    with pytest.raises(PlanError, match=r"sweep.study_kinds repeats \['multitask'\]"):
+        load_plan({"sweep": {"study_kinds": ["multitask", "MultiTask"]}})
+    assert load_plan({"sweep": {"study_kinds": ["SimCLR"]}}).study_kinds == ("SimCLR",)
     with pytest.raises(PlanError, match="study_shots"):
         load_plan({"sweep": {"study_shots": 0}})
     # a repeated mode or shot count would run its cells twice
@@ -120,6 +134,10 @@ def test_mode_shot_seed_validation():
                 {"pretext": {"encoder": "abc"}}):
         with pytest.raises(PlanError, match="bad value"):
             load_plan(bad)
+    # integral sizes inside the pretext section name their key
+    for pretext, key in NOT_INTEGRAL:
+        with pytest.raises(PlanError, match=f"bad value for {key}"):
+            load_plan({"pretext": pretext})
     # a non-string data path fails at parse time, before it reaches plan.raw
     for path in (3, ["a"], {"x": 1}):
         with pytest.raises(PlanError, match="data.path must be a string"):
@@ -245,7 +263,11 @@ _PINNED_HASHES = {
 @pytest.mark.parametrize("name", list(_PINNED_HASHES))
 def test_fixture_config_hashes_are_pinned(name):
     source, expected = _PINNED_HASHES[name]
-    assert load_plan(source).config_hash == expected
+    plan = load_plan(source)
+    assert plan.config_hash == expected
+    # the normalized form is a fixed point under a JSON round trip
+    again = load_plan(json.loads(json.dumps(plan.raw)))
+    assert again.raw == plan.raw and again.config_hash == expected
 
 
 def test_plan_pretext_section_is_the_objective_config():
@@ -577,6 +599,26 @@ def test_six_channel_dataset_pretrains(tmp_path):
     raw["sweep"]["study_kinds"] = ["cpc", "multitask"]
     with pytest.raises(PlanError, match="multitask pretext holds Rotate3D.* has 6"):
         domain_shift_study(load_plan(raw))
+
+
+def test_replay_kind_must_name_the_plan_objective(monkeypatch):
+    for bad in (3, "diffusion"):
+        with pytest.raises(PlanError, match="bad value for replay.kind"):
+            load_plan({"replay": {"kind": bad}})
+    raw = micro_plan_dict()
+    raw["replay"]["kind"] = "SimCLR"
+    plan = load_plan(raw)
+    assert plan.replay_cfg.kind == plan.raw["replay"]["kind"] == "simclr"
+    # another kind than the objective's fails every cell, so the sweep
+    # refuses it before any pre-training
+    raw["replay"]["kind"] = "cpc"
+
+    def no_pretraining(*args):
+        raise AssertionError("pre-training ran")
+
+    monkeypatch.setattr("metareplay.harness.pretrain_for_target", no_pretraining)
+    with pytest.raises(PlanError, match="replay.kind 'cpc' does not match"):
+        leave_one_domain_out(load_plan(raw))
 
 
 def test_sweep_needs_two_domains():

@@ -149,13 +149,13 @@ def test_aggregate_and_predict_shapes(rng):
 def test_aggregate_anchor_indexing(rng):
     params = bundle("cpc", rng=rng, )
     frame_emb = Tensor(rng.standard_normal((2, 8, 96)).astype(np.float32))
-    # context at t=4 (frames 1..4 consumed), one prediction for frame 5
-    ctx, preds = aggregate_and_predict(params, frame_emb, horizon=1, anchor=4)
-    assert preds.shape == (2, 1, 96)
-    # consuming only the first 4 frames must give the same context
+    # context at t=6 (frames 1..6 consumed), predictions for frames 7 and 8
+    ctx, preds = aggregate_and_predict(params, frame_emb, horizon=2)
+    assert preds.shape == (2, 2, 96)
+    # consuming the same 6 of the first 7 frames must give the same context
     ctx2, _ = aggregate_and_predict(params,
-                                    Tensor(frame_emb.data[:, :5].copy()),
-                                    horizon=1, anchor=4)
+                                    Tensor(frame_emb.data[:, :7].copy()),
+                                    horizon=1)
     np.testing.assert_allclose(ctx.data, ctx2.data, atol=1e-6)
 
 

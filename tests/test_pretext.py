@@ -277,14 +277,14 @@ def test_objective_carries_its_encoder():
     windows = np.random.default_rng(1).uniform(-1, 1, (3, 6, 128)).astype(np.float32)
     params = init_for_objective(cpc, 4, np.random.default_rng(0), in_channels=6)
     assert np.isfinite(eval_ssl(cpc, params, windows, np.random.default_rng(2)).item())
-    with pytest.raises(PretextError, match="bad value for pretext encoder"):
+    with pytest.raises(PretextError, match=r"bad value for pretext\.encoder"):
         objective_from_config({"kind": "cpc", "encoder": {"blocks": 3, "embedding_dim": 8}})
 
 
 def test_objective_integer_fields_take_only_integral_numbers():
     for kind, key in (("cpc", "horizon"), ("cpc", "frame_len"), ("simclr", "proj_dim")):
         for bad in (2.5, "40", "x", False):
-            with pytest.raises(PretextError, match=f"bad value for pretext {key}"):
+            with pytest.raises(PretextError, match=rf"bad value for pretext\.{key}"):
                 objective_from_config({"kind": kind, key: bad})
         value = getattr(objective_from_config({"kind": kind, key: 40.0}), key)
         assert value == 40 and type(value) is int
