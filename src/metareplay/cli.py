@@ -18,22 +18,11 @@ import numpy as np
 
 from .adapt import (END_TO_END, LINEAR, MODES, PLAIN, FinetuneConfig, ReplayConfig,
                     load_pretrained, run_pipeline, save_pretrained)
-from .data import (SplitPlan, apply_norm, compute_norm_stats, default_synth_spec,
-                   make_split, normalize, read_csv_dataset, read_dataset,
+from .data import (SplitPlan, default_synth_spec, make_split, normalize, read_dataset,
                    synth_generate, write_dataset)
 from .harness import (domain_shift_study, dump_embeddings, leave_one_domain_out,
                       load_plan, load_plan_dataset, pretrain_for_target)
 from .metrics import evaluate
-
-
-def _load_data(path: str):
-    return read_csv_dataset(path) if path.endswith(".csv") else read_dataset(path)
-
-
-def _normalized_for_split(ds, split: SplitPlan):
-    split.validate_against(ds)
-    stats = compute_norm_stats(ds.values[split.pretrain_train])
-    return apply_norm(ds, stats)
 
 
 def cmd_synth(args) -> int:
@@ -69,7 +58,7 @@ def _cmd_pretrain(args, method: str) -> int:
 
 
 def cmd_make_split(args) -> int:
-    ds = _load_data(args.data)
+    ds = read_dataset(args.data)
     split = make_split(ds, args.target_domain, args.shots, args.seed)
     split.save_json(args.out)
     sizes = {k: int(v.size) for k, v in split.index_sets().items()}
@@ -81,9 +70,10 @@ def _adapt_and_report(args, model, mode: str, replay_cfg: ReplayConfig,
                       ft_cfg: FinetuneConfig):
     """Run one pipeline arm on the split, save the bundle with a log
     (pipeline plus test report) next to it, and return the test report."""
-    ds = _load_data(args.data)
+    ds = read_dataset(args.data)
     split = SplitPlan.load_json(args.split)
-    dsn = _normalized_for_split(ds, split)
+    split.validate_against(ds)
+    dsn = normalize(ds, split.pretrain_train)
     rng = np.random.default_rng(args.seed)
     bundle, record = run_pipeline(mode, model, dsn, split, replay_cfg, ft_cfg, rng)
     bundle.save(args.out)
@@ -142,11 +132,11 @@ def cmd_shift_study(args) -> int:
 
 def cmd_dump_embeddings(args) -> int:
     model = load_pretrained(args.model)
-    ds = _load_data(args.data)
-    if args.split:
-        dsn = _normalized_for_split(ds, SplitPlan.load_json(args.split))
-    else:
-        dsn = normalize(ds)
+    ds = read_dataset(args.data)
+    split = SplitPlan.load_json(args.split) if args.split else None
+    if split:
+        split.validate_against(ds)
+    dsn = normalize(ds, split.pretrain_train if split else None)
     dump_embeddings(model.params, dsn, args.out, model.objective.encoder)
     print(f"wrote {dsn.n_windows} embedding rows to {args.out}")
     return 0

@@ -1,13 +1,18 @@
 """The one rule that reads a config dataclass from JSON: a config is a
 JSON object whose keys are fields of its class; a field with a builder
 is built by it, an int field takes integral(value), and any other value
-goes to the class as given, whose __post_init__ checks it.
+goes to the class as given, whose __post_init__ checks it. A float field
+(float, Optional[float] or tuple[float, ...]) holds no bool, NaN or
+infinity, neither as given nor as built.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import fields
+
+_FLOAT_TYPES = ("float", "Optional[float]", "tuple[float, ...]")
 
 
 def integral(value) -> int:
@@ -16,6 +21,14 @@ def integral(value) -> int:
             isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def finite(value):
+    """value; ValueError if it, or an entry of a list or tuple, is a bool or not finite."""
+    for v in value if isinstance(value, (list, tuple)) else (value,):
+        if isinstance(v, bool) or isinstance(v, numbers.Real) and not math.isfinite(v):
+            raise ValueError(f"expected a finite number, got {v!r}")
+    return value
 
 
 def json_object(cfg, error: type[Exception], where: str, keys=None) -> dict:
@@ -32,17 +45,28 @@ def json_object(cfg, error: type[Exception], where: str, keys=None) -> dict:
 def from_config(cls, cfg, error: type[Exception], where: str, builders=None):
     """cls read from cfg by the rule above; builders maps a field name to
     its builder. A non-object, an unknown key, or a value that its builder
-    rejects with TypeError or ValueError raises error naming where.key."""
+    rejects with TypeError or ValueError, or a float field that finite
+    rejects as given or as built, raises error naming where.key."""
     types = {f.name: f.type for f in fields(cls)}
     kwargs = json_object(cfg, error, where, types)
     builders = {**{name: integral for name, t in types.items() if t in ("int", int)},
                 **(builders or {})}
-    for name in [name for name in cfg if name in builders]:
+    floats = [name for name in cfg if types[name] in _FLOAT_TYPES]
+    for name in cfg:
         try:
-            kwargs[name] = builders[name](cfg[name])
+            if name in floats:              # before float() or the class reads it
+                finite(cfg[name])
+            if name in builders:
+                kwargs[name] = builders[name](cfg[name])
         except (TypeError, ValueError) as e:
             raise error(f"bad value for {where}.{name}: {e}") from None
     try:
-        return cls(**kwargs)
+        built = cls(**kwargs)
     except TypeError as e:                  # a value of the wrong JSON type
         raise error(f"bad value in {where!r}: {e}") from None
+    for name in floats:
+        try:
+            finite(getattr(built, name))    # a NaN read from a string such as "nan"
+        except ValueError as e:
+            raise error(f"bad value for {where}.{name}: {e}") from None
+    return built

@@ -17,7 +17,6 @@ import csv
 import json
 import struct
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -49,7 +48,6 @@ class Dataset:
     domains: np.ndarray                     # [N] uint16
     domain_tags: tuple[str, ...]
     n_classes: int
-    norm: Optional[NormStats] = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float32)
@@ -199,19 +197,19 @@ def apply_norm(ds: Dataset, stats: NormStats) -> Dataset:
     v = ds.values - stats.mid[None, :, None]
     v *= stats.scale[None, :, None]
     np.clip(v, -1.0, 1.0, out=v)
-    return replace(ds, values=v, norm=stats)
+    return replace(ds, values=v)
 
 
-def normalize(ds: Dataset) -> Dataset:
-    """Normalize with statistics from the whole dataset; idempotent.
-
-    For leave-one-domain-out runs compute the statistics on the
-    pretraining pool only (compute_norm_stats on that slice) and reuse
-    them for the held-out domain via apply_norm.
+def normalize(ds: Dataset, pool=None) -> Dataset:
+    """The whole dataset mapped by statistics from the windows of pool
+    (an index array into ds; all windows by default, which makes it
+    idempotent). Leave-one-domain-out runs pass the pretraining pool, so
+    the held-out domain is scaled as the model saw its training data.
     """
     if ds.n_windows == 0:
         raise DataError("cannot normalize an empty dataset")
-    return apply_norm(ds, compute_norm_stats(ds.values))
+    return apply_norm(ds, compute_norm_stats(ds.values if pool is None
+                                             else ds.values[pool]))
 
 
 def exclude_small_domains(ds: Dataset, min_count: int) -> Dataset:
@@ -229,8 +227,7 @@ def exclude_small_domains(ds: Dataset, min_count: int) -> Dataset:
                    labels=ds.labels[mask],
                    domains=remap[ds.domains[mask]].astype(np.uint16),
                    domain_tags=tuple(ds.domain_tags[d] for d in keep),
-                   n_classes=ds.n_classes,
-                   norm=ds.norm)
+                   n_classes=ds.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +304,7 @@ class DomainRecipe:
     rotation_deg: float = 0.0
     rotation_axis: int = 2
     gain: float = 1.0
-    channel_gains: tuple = (1.0, 1.0, 1.0)
+    channel_gains: tuple[float, ...] = (1.0, 1.0, 1.0)
     noise_sigma: float = 0.0
     phase: float = 0.0
 
@@ -519,11 +516,15 @@ def _read_tags(blob: bytes, off: int, n_dom: int) -> tuple[tuple[str, ...], int]
 
 
 def read_dataset(path) -> Dataset:
-    """Read a binary dataset file (layout in write_dataset).
+    """Read a dataset file: a path ending in ``.csv`` as CSV
+    (read_csv_dataset), any other as a binary file (layout in
+    write_dataset).
 
     Version 2 carries the domain tags. Version-1 files hold none, so
     their domains are tagged ``domain{d}``.
     """
+    if str(path).endswith(".csv"):
+        return read_csv_dataset(path)
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != DATASET_MAGIC:

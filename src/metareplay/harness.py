@@ -37,13 +37,12 @@ import numpy as np
 from .adapt import (FinetuneConfig, PretrainedModel, ReplayConfig, _MODE_NEEDS, MODES,
                     META, finetune, run_pipeline, save_pretrained)
 from .augment import Rotate3D
-from .config import from_config, integral, json_object
-from .data import (Dataset, DomainRecipe, SynthSpec, compute_norm_stats,
-                   apply_norm, default_synth_spec, exclude_small_domains, make_split,
-                   pool_split, read_csv_dataset, read_dataset, stratified_shot_split,
-                   synth_generate)
+from .config import finite, from_config, integral, json_object
+from .data import (Dataset, DomainRecipe, SynthSpec, default_synth_spec,
+                   exclude_small_domains, make_split, normalize, pool_split,
+                   read_dataset, stratified_shot_split, synth_generate)
 from .meta import MetaHyper, TrainLog, meta_pretrain, train_epochs
-from .metrics import aggregate, evaluate
+from .metrics import EVAL_BATCH, aggregate, evaluate
 from .models import EncoderConfig, encode
 from .optim import adam_step
 from .params import ParamVector, grad_of
@@ -102,9 +101,10 @@ def _list(where: str, value) -> tuple:
 
 
 def _coerce(where: str, typ, value):
-    """typ(value) (integral for an int), a rejected value as a PlanError."""
+    """typ(value) (integral for an int; a float finite as given and as
+    read), a rejected value as a PlanError."""
     try:
-        return integral(value) if typ is int else typ(value)
+        return integral(value) if typ is int else finite(typ(finite(value)))
     except (TypeError, ValueError) as e:
         raise PlanError(f"bad value for {where}: {e}") from None
 
@@ -307,8 +307,7 @@ def load_plan(source) -> ExperimentPlan:
 def load_plan_dataset(plan: ExperimentPlan) -> Dataset:
     """Materialize the plan's dataset and drop under-sized domains."""
     if plan.data_path is not None:
-        p = plan.data_path
-        ds = read_csv_dataset(p) if p.endswith(".csv") else read_dataset(p)
+        ds = read_dataset(plan.data_path)
     else:
         ds = synth_generate(plan.synth_spec, plan.synth_seed)
     if plan.min_count > 0:
@@ -350,8 +349,7 @@ def epoch_order(pool, rng: np.random.Generator) -> np.ndarray:
 
 def plain_pretrain(objective: PretextObjective, init_params: ParamVector,
                    ds: Dataset, train_pool, val_pool, hyper: PretrainHyper,
-                   rng: np.random.Generator,
-                   record_trajectory: bool = False) -> tuple[ParamVector, TrainLog]:
+                   rng: np.random.Generator) -> tuple[ParamVector, TrainLog]:
     """Ordinary mini-batch SSL training with Adam, checkpointed on
     validation loss by meta.train_epochs.
 
@@ -391,8 +389,7 @@ def plain_pretrain(objective: PretextObjective, init_params: ParamVector,
         return eval_ssl(objective, params.no_grad(), ds.values[vbatch],
                         r_val.spawn(1)[0]).item()
 
-    return train_epochs(init_params, hyper.epochs, rng, run_epoch, validate,
-                        record_trajectory)
+    return train_epochs(init_params, hyper.epochs, rng, run_epoch, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +434,7 @@ def pretrain_for_target(plan: ExperimentPlan, ds: Dataset, target: int,
     training stream is keyed by (target, method).
     """
     ref = make_split(ds, target, k=1, seed=seed_of(plan, "split", target))
-    stats = compute_norm_stats(ds.values[ref.pretrain_train])
-    dsn = apply_norm(ds, stats)
+    dsn = normalize(ds, ref.pretrain_train)
     init = init_for_objective(plan.objective, ds.n_classes,
                               rng_for(plan.master_seed, "init", target), ds.channels)
     rng = rng_for(plan.master_seed, "pretrain", target, method)
@@ -641,8 +637,7 @@ def domain_shift_study(plan: ExperimentPlan,
             arms = {}
             for arm, (tr, va) in (("in_domain", (in_train, in_val)),
                                   ("out_of_domain", (out_train, out_val))):
-                stats = compute_norm_stats(ds.values[tr])
-                dsn = apply_norm(ds, stats)
+                dsn = normalize(ds, tr)
                 params, _log = plain_pretrain(
                     objective, init, dsn, tr, va, plan.plain_hyper,
                     rng_for(plan.master_seed, "study-pretrain", kind, d, arm))
@@ -679,19 +674,17 @@ def domain_shift_study(plan: ExperimentPlan,
 # ---------------------------------------------------------------------------
 # embedding dumps
 
-def dump_embeddings(params: ParamVector, ds: Dataset, path, encoder: EncoderConfig,
-                    indices=None, batch: int = 256) -> None:
+def dump_embeddings(params: ParamVector, ds: Dataset, path, encoder: EncoderConfig
+                    ) -> None:
     """CSV with header domain,label,e0..e{dim-1}, one row per window in
-    the given order (all windows by default)."""
-    idx = np.arange(ds.n_windows) if indices is None \
-        else np.asarray(indices, dtype=np.int64)
+    dataset order."""
     dim = encoder.embedding_dim
     params = params.no_grad()
     with open(path, "w") as fh:
         fh.write("domain,label," + ",".join(f"e{i}" for i in range(dim)) + "\n")
-        for start in range(0, idx.size, batch):
-            chunk = idx[start:start + batch]
-            emb = encode(params, ds.values[chunk], encoder).data
-            for row, i in enumerate(chunk):
-                vals = ",".join(repr(float(v)) for v in emb[row])
-                fh.write(f"{int(ds.domains[i])},{int(ds.labels[i])},{vals}\n")
+        for start in range(0, ds.n_windows, EVAL_BATCH):
+            rows = slice(start, start + EVAL_BATCH)
+            emb = encode(params, ds.values[rows], encoder).data
+            for d, y, e in zip(ds.domains[rows], ds.labels[rows], emb):
+                vals = ",".join(repr(float(v)) for v in e)
+                fh.write(f"{int(d)},{int(y)},{vals}\n")

@@ -100,10 +100,6 @@ class MetaHyper:
         return (self.M - self.M_dom) / self.M
 
 
-TaskSource = Callable[[Dataset, np.ndarray, MetaHyper, np.random.Generator],
-                      list[MetaTask]]
-
-
 def generate_tasks(ds: Dataset, pool: np.ndarray, hyper: MetaHyper,
                    rng: np.random.Generator) -> list[MetaTask]:
     """Sample M tasks from the pretraining pool (index array into ds).
@@ -242,7 +238,6 @@ class TrainLog:
     epochs: list[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_val_loss: float = float("inf")
-    trajectory: list[ParamVector] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {"epochs": self.epochs, "best_epoch": self.best_epoch,
@@ -251,8 +246,8 @@ class TrainLog:
 
 def train_epochs(init_params: ParamVector, epochs: int, rng: np.random.Generator,
                  run_epoch: Callable[..., tuple[ParamVector, dict, float]],
-                 validate: Callable[..., Optional[float]],
-                 record_trajectory: bool = False) -> tuple[ParamVector, TrainLog]:
+                 validate: Callable[..., Optional[float]]
+                 ) -> tuple[ParamVector, TrainLog]:
     """The epoch loop and checkpoint rule of meta and plain pre-training.
 
     Streams split once as (sampling, training, validation), so validation
@@ -271,8 +266,6 @@ def train_epochs(init_params: ParamVector, epochs: int, rng: np.random.Generator
         params, row, train_loss = run_epoch(params, r_sample, r_train)
         val = validate(params, np.random.default_rng(val_seed))
         log.epochs.append({"epoch": epoch, **row, "val_loss": val})
-        if record_trajectory:
-            log.trajectory.append(params)
         crit = val if val is not None else train_loss
         if crit < log.best_val_loss:
             log.best_val_loss = crit
@@ -311,9 +304,8 @@ def meta_validation_loss(objective: PretextObjective, params: ParamVector,
 
 def meta_pretrain(objective: PretextObjective, init_params: ParamVector,
                   ds: Dataset, train_pool: np.ndarray, val_pool: np.ndarray,
-                  hyper: MetaHyper, rng: np.random.Generator,
-                  task_source: Optional[TaskSource] = None,
-                  record_trajectory: bool = False) -> tuple[ParamVector, TrainLog]:
+                  hyper: MetaHyper, rng: np.random.Generator
+                  ) -> tuple[ParamVector, TrainLog]:
     """Full meta-pre-training loop.
 
     Each epoch: fresh tasks from the training pool (the sampling stream),
@@ -321,13 +313,12 @@ def meta_pretrain(objective: PretextObjective, init_params: ParamVector,
     Checkpoint choice and stream split follow train_epochs; without a
     usable validation pool the mean query loss decides.
     """
-    source = task_source or generate_tasks
     pool = np.asarray(train_pool, dtype=np.int64)
     opt_state: Optional[AdamState] = None
 
     def run_epoch(params, r_task, r_train):
         nonlocal opt_state
-        tasks = source(ds, pool, hyper, r_task)
+        tasks = generate_tasks(ds, pool, hyper, r_task)
         params, row, opt_state = meta_epoch(objective, params, ds, tasks, hyper,
                                             r_train, opt_state)
         return params, row, row["query_loss"]
@@ -335,5 +326,4 @@ def meta_pretrain(objective: PretextObjective, init_params: ParamVector,
     def validate(params, r_val):
         return meta_validation_loss(objective, params, ds, val_pool, hyper, r_val)
 
-    return train_epochs(init_params, hyper.epochs, rng, run_epoch, validate,
-                        record_trajectory)
+    return train_epochs(init_params, hyper.epochs, rng, run_epoch, validate)

@@ -75,14 +75,18 @@ def macro_f1(cm: ConfusionMatrix) -> float:
     return float(per_class_f1(cm)[present].mean())
 
 
-def predict(bundle: ParamVector, windows: np.ndarray, encoder: EncoderConfig,
-            batch: int = 256) -> np.ndarray:
+# windows per graph-free forward pass in predict and harness.dump_embeddings
+EVAL_BATCH = 256
+
+
+def predict(bundle: ParamVector, windows: np.ndarray, encoder: EncoderConfig) -> np.ndarray:
     """Argmax class per window; ties break toward the lowest index."""
     windows = np.asarray(windows, dtype=np.float32)
     bundle = bundle.no_grad()
     out = []
-    for start in range(0, windows.shape[0], batch):
-        logits = classify(bundle, encode(bundle, windows[start:start + batch], encoder))
+    for start in range(0, windows.shape[0], EVAL_BATCH):
+        logits = classify(bundle, encode(bundle, windows[start:start + EVAL_BATCH],
+                                         encoder))
         out.append(logits.data.argmax(axis=1))
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 

@@ -27,10 +27,11 @@ class AdamState:
         return cls(step=0, m=params.zeros_like(), v=params.zeros_like())
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8     # Adam's moment decay rates and epsilon
+
+
 def adam_step(params: ParamVector, grads: ParamVector, state: Optional[AdamState],
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8, weight_decay: float = 0.0
-              ) -> tuple[ParamVector, AdamState]:
+              lr: float, weight_decay: float = 0.0) -> tuple[ParamVector, AdamState]:
     """One Adam update; weight decay is decoupled and applied before the
     adaptive step (p -= lr * wd * p), so with zero gradient the only change
     is the decay shrinkage."""
@@ -39,12 +40,12 @@ def adam_step(params: ParamVector, grads: ParamVector, state: Optional[AdamState
     t = state.step + 1
     if weight_decay:
         params = params.map(lambda _, p: p - np.float32(lr * weight_decay) * p)
-    m = state.m.zip_map(grads, lambda m_, g: beta1 * m_ + (1.0 - beta1) * g)
-    v = state.v.zip_map(grads, lambda v_, g: beta2 * v_ + (1.0 - beta2) * g * g)
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    m = state.m.zip_map(grads, lambda m_, g: _BETA1 * m_ + (1.0 - _BETA1) * g)
+    v = state.v.zip_map(grads, lambda v_, g: _BETA2 * v_ + (1.0 - _BETA2) * g * g)
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
     mhat = m.scale(1.0 / bc1)
     vhat = v.scale(1.0 / bc2)
-    delta = mhat.zip_map(vhat, lambda mh, vh: mh / (np.sqrt(vh) + np.float32(eps)))
+    delta = mhat.zip_map(vhat, lambda mh, vh: mh / (np.sqrt(vh) + np.float32(_EPS)))
     new_params = params.zip_map(delta, lambda p, d: p - np.float32(lr) * d)
     return new_params, AdamState(step=t, m=m, v=v)

@@ -545,7 +545,10 @@ def log_softmax(x: ArrayLike, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization
 
-def layer_norm(x: ArrayLike, eps: float = 1e-5, *,
+_LN_EPS = 1e-5          # added to layer_norm's variance
+
+
+def layer_norm(x: ArrayLike, *,
                epilogue: Optional[tuple[ArrayLike, ArrayLike]] = None) -> Tensor:
     """Normalize each sample (axis 0 is the batch) to zero mean, unit variance.
 
@@ -565,7 +568,7 @@ def layer_norm(x: ArrayLike, eps: float = 1e-5, *,
     mu = x.data.mean(axis=axes, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     y = xc * inv
 
     def norm_vjp(g):
@@ -708,9 +711,12 @@ def global_mean_pool(x: ArrayLike) -> Tensor:
 # losses and similarity (composites over the primitives above, except the
 # numerically fused binary cross-entropy)
 
-def l2_normalize(x: ArrayLike, axis: int = -1, eps: float = 1e-8) -> Tensor:
+_L2_EPS = 1e-8          # l2_normalize divides by sqrt(|x|^2 + eps^2)
+
+
+def l2_normalize(x: ArrayLike, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    norm = sqrt(sum_(mul(x, x), axis=axis, keepdims=True) + eps * eps)
+    norm = sqrt(sum_(mul(x, x), axis=axis, keepdims=True) + _L2_EPS * _L2_EPS)
     return div(x, norm)
 
 

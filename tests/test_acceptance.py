@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from gradcheck import check_grad, primitive_cases, random_net_cases
+from metareplay import harness, meta
 from metareplay.data import (Dataset, make_split, read_dataset, synth_generate,
                              write_dataset)
 from metareplay.harness import (PretrainHyper, leave_one_domain_out, load_plan,
@@ -119,7 +120,7 @@ def test_task_sampler_invariants_randomized():
 
 # -- 4 ----------------------------------------------------------------------
 
-def test_zero_inner_step_meta_equals_plain_training():
+def test_zero_inner_step_meta_equals_plain_training(monkeypatch, epoch_params):
     ds = _tiny_dataset(n_domains=1, per_domain=24)
     pool = np.arange(24)
     obj = SimCLRObjective()
@@ -129,16 +130,17 @@ def test_zero_inner_step_meta_equals_plain_training():
         perm = epoch_order(p, rng)
         return [MetaTask(perm, perm)]
 
+    monkeypatch.setattr(meta, "generate_tasks", batch_as_task)
+    mtraj, ptraj = epoch_params(meta), epoch_params(harness)
     mh = MetaHyper(M=1, M_dom=0, K=12, inner_steps=0, epochs=3,
                    outer="adam", beta=1e-3)
     mp, mlog = meta_pretrain(obj, init, ds, pool, np.arange(0), mh,
-                             np.random.default_rng(5), task_source=batch_as_task,
-                             record_trajectory=True)
+                             np.random.default_rng(5))
     ph = PretrainHyper(epochs=3, batch_size=24, lr=1e-3, weight_decay=0.0)
     pp, plog = plain_pretrain(obj, init, ds, pool, np.arange(0), ph,
-                              np.random.default_rng(5), record_trajectory=True)
-    assert len(mlog.trajectory) == len(plog.trajectory) == 3
-    for a, b in zip(mlog.trajectory, plog.trajectory):
+                              np.random.default_rng(5))
+    assert len(mtraj) == len(ptraj) == 3
+    for a, b in zip(mtraj, ptraj):
         assert a.max_abs_diff(b) < 1e-5
 
 

@@ -299,6 +299,11 @@ MALFORMED_SIDECARS = [(s, "") for s in (
                                    "encoder": {"blocks": [], "embedding_dim": 8}}})]
 MALFORMED_SIDECARS += [({"method": "meta", "pretext": pretext}, key)
                        for pretext, key in NOT_INTEGRAL]
+# a bool, NaN or an infinity in a float field (test_harness checks plans)
+MALFORMED_SIDECARS += [({"method": "meta", "pretext": pretext}, key) for pretext, key in [
+    ({"kind": "cpc", "tau": "nan"}, "pretext.tau"),
+    ({"kind": "multitask", "apply_prob": True}, "pretext.apply_prob"),
+    ({"pipeline": [{"kind": "jitter", "sigma": float("inf")}]}, "jitter.sigma")]]
 
 
 @pytest.mark.parametrize("sidecar,key", MALFORMED_SIDECARS,

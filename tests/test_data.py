@@ -109,7 +109,6 @@ def test_apply_norm_matches_the_expression_and_leaves_input_alone():
     assert out.values.dtype == np.float32
     assert out.values.tobytes() == \
         np.clip(unclipped, -1.0, 1.0).astype(np.float32).tobytes()
-    assert out.norm is stats
     np.testing.assert_array_equal(ds.values, before)
 
 
@@ -503,6 +502,11 @@ def test_csv_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.values, ds.values)
     np.testing.assert_array_equal(back.labels, ds.labels)
     np.testing.assert_array_equal(back.domains, ds.domains)
+    # read_dataset reads a .csv path, given as a Path or a str, as CSV
+    for path in (p, str(p)):
+        again = read_dataset(path)
+        assert again.values.tobytes() == back.values.tobytes()
+        assert again.domain_tags == back.domain_tags
 
 
 def test_csv_header_validated(tmp_path):

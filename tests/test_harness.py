@@ -3,13 +3,14 @@ drivers on a micro-scale synthetic configuration."""
 
 import json
 import os
+import re
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metareplay.data import DataError, Dataset, write_dataset
+from metareplay.data import DataError, Dataset, make_split, normalize, write_dataset
 from metareplay.harness import (PRESETS, ExperimentPlan, PlanError,
                                 PretrainHyper, SweepResult, domain_shift_study,
                                 dump_embeddings, epoch_order,
@@ -29,6 +30,27 @@ NOT_INTEGRAL = [
     ({"pipeline": [{"kind": "permute", "n_segments": 2.5}]}, "permute.n_segments"),
     ({"pipeline": [{"kind": "permute", "n_segments": True}]}, "permute.n_segments"),
 ]
+
+# plans with a bool, NaN or an infinity in a float field, and the key each
+# names; json.loads reads NaN and Infinity, which strict JSON does not have
+NOT_FINITE = [(json.loads(text), key) for text, key in [
+    ('{"meta": {"alpha": NaN}}', "meta.alpha"),
+    ('{"meta": {"alpha": true}}', "meta.alpha"),
+    ('{"replay": {"lr": Infinity}}', "replay.lr"),
+    ('{"finetune": {"lr": NaN}}', "finetune.lr"),
+    ('{"finetune": {"lr": -Infinity}}', "finetune.lr"),
+    ('{"sweep": {"plain_lr": NaN}}', "sweep.plain_lr"),
+    ('{"sweep": {"plain_weight_decay": true}}', "sweep.plain_weight_decay"),
+    ('{"pretext": {"tau": "nan"}}', "pretext.tau"),
+    ('{"pretext": {"kind": "multitask", "apply_prob": true}}', "pretext.apply_prob"),
+    ('{"pretext": {"pipeline": [{"kind": "jitter", "sigma": Infinity}]}}', "jitter.sigma"),
+    ('{"data": {"synth": {"recipes": [{"rotation_deg": NaN}]}}}',
+     "data.synth.recipes[0].rotation_deg"),
+    ('{"data": {"synth": {"recipes": [{"channel_gains": [1, Infinity, 1]}]}}}',
+     "data.synth.recipes[0].channel_gains"),
+    ('{"data": {"synth": {"recipes": [{"channel_gains": [1, "nan", 1]}]}}}',
+     "data.synth.recipes[0].channel_gains"),
+]]
 
 
 def micro_plan_dict(**sweep_extra):
@@ -138,6 +160,10 @@ def test_mode_shot_seed_validation():
     for pretext, key in NOT_INTEGRAL:
         with pytest.raises(PlanError, match=f"bad value for {key}"):
             load_plan({"pretext": pretext})
+    # so do float fields given a bool, NaN or an infinity
+    for plan, key in NOT_FINITE:
+        with pytest.raises(PlanError, match=re.escape(f"bad value for {key}")):
+            load_plan(plan)
     # a non-string data path fails at parse time, before it reaches plan.raw
     for path in (3, ["a"], {"x": 1}):
         with pytest.raises(PlanError, match="data.path must be a string"):
@@ -265,6 +291,7 @@ def test_fixture_config_hashes_are_pinned(name):
     source, expected = _PINNED_HASHES[name]
     plan = load_plan(source)
     assert plan.config_hash == expected
+    json.dumps(plan.raw, allow_nan=False)           # strict JSON: no NaN or infinity
     # the normalized form is a fixed point under a JSON round trip
     again = load_plan(json.loads(json.dumps(plan.raw)))
     assert again.raw == plan.raw and again.config_hash == expected
@@ -326,20 +353,21 @@ def test_epoch_order_is_seeded_permutation():
 # ---------------------------------------------------------------------------
 # plain pre-training loop
 
-def test_plain_pretrain_checkpoints_argmin_epoch():
+def test_plain_pretrain_checkpoints_argmin_epoch(epoch_params):
+    from metareplay import harness
     plan = load_plan(micro_plan_dict())
     ds = load_plan_dataset(plan)
     obj = SimCLRObjective()
     init = init_for_objective(obj, 2, np.random.default_rng(0))
     hyper = PretrainHyper(epochs=3, batch_size=8, lr=1e-3)
+    trajectory = epoch_params(harness)
     best, log = plain_pretrain(obj, init, ds, np.arange(0, 16), np.arange(16, 24),
-                               hyper, np.random.default_rng(2),
-                               record_trajectory=True)
+                               hyper, np.random.default_rng(2))
     vals = [e["val_loss"] for e in log.epochs]
     assert all(v is not None for v in vals)
     k = int(np.argmin(vals))
     assert log.best_epoch == k + 1
-    assert best.max_abs_diff(log.trajectory[k]) == 0.0
+    assert best.max_abs_diff(trajectory[k]) == 0.0
 
 
 def test_plain_pretrain_empty_pool_rejected():
@@ -358,7 +386,9 @@ def test_pretrain_for_target_methods():
     model, log, dsn = pretrain_for_target(plan, ds, 0, "plain")
     assert model.method == "plain"
     assert len(log.epochs) == plan.plain_hyper.epochs
-    assert dsn.norm is not None
+    # the whole dataset, scaled by the statistics of the pretraining pool
+    ref = make_split(ds, 0, 1, seed_of(plan, "split", 0))
+    assert dsn.values.tobytes() == normalize(ds, ref.pretrain_train).values.tobytes()
     model, log, _ = pretrain_for_target(plan, ds, 0, "meta")
     assert model.method == "meta"
     assert len(log.epochs) == plan.meta_hyper.epochs
@@ -647,16 +677,19 @@ def test_shift_study_structure(tmp_path):
     assert again == res
 
 
-def test_dump_embeddings(tmp_path):
+def test_dump_embeddings(tmp_path, monkeypatch):
+    from metareplay import harness
+    monkeypatch.setattr(harness, "EVAL_BATCH", 7)   # rows span several batches
     plan = load_plan(micro_plan_dict())
     ds = load_plan_dataset(plan)
     params = init_bundle("simclr", EncoderConfig(), 2, np.random.default_rng(0))
     path = tmp_path / "emb.csv"
-    dump_embeddings(params, ds, path, EncoderConfig(), indices=np.arange(5))
+    dump_embeddings(params, ds, path, EncoderConfig())
     lines = path.read_text().strip().split("\n")
-    assert len(lines) == 6
+    assert len(lines) == ds.n_windows + 1
     assert lines[0].startswith("domain,label,e0,")
     assert lines[0].count(",") == 2 + 96 - 1
-    first = lines[1].split(",")
-    assert first[0] == str(int(ds.domains[0]))
-    assert all(np.isfinite(float(v)) for v in first[2:])
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == ds.domains.tolist()
+    assert [int(r[1]) for r in rows] == ds.labels.tolist()
+    assert all(np.isfinite(float(v)) for v in rows[0][2:])

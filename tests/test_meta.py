@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from metareplay import harness, meta
 from metareplay.data import Dataset
 from metareplay.harness import PretrainHyper, epoch_order, plain_pretrain
 from metareplay.meta import (MetaError, MetaHyper, MetaTask, generate_tasks,
@@ -358,7 +359,8 @@ def test_meta_pretrain_zero_epochs_returns_init(ds, obj):
     assert log.epochs == []
 
 
-def test_zero_inner_steps_reduces_to_plain_pretraining(ds, obj):
+def test_zero_inner_steps_reduces_to_plain_pretraining(ds, obj, monkeypatch,
+                                                       epoch_params):
     """With inner_steps=0, one task per epoch, and the task's query set
     taken to be exactly the batch plain training would draw, the two
     loops must produce the same parameter trajectory."""
@@ -373,32 +375,31 @@ def test_zero_inner_steps_reduces_to_plain_pretraining(ds, obj):
         perm = epoch_order(p, rng)
         return [MetaTask(perm, perm)]
 
+    monkeypatch.setattr(meta, "generate_tasks", batch_as_task)
+    m_trajectory, p_trajectory = epoch_params(meta), epoch_params(harness)
     params = small_params(obj)
     m_best, m_log = meta_pretrain(obj, params, ds, pool, np.arange(0),
-                                  meta_hyper, np.random.default_rng(404),
-                                  task_source=batch_as_task,
-                                  record_trajectory=True)
+                                  meta_hyper, np.random.default_rng(404))
     p_best, p_log = plain_pretrain(obj, params, ds, pool, np.arange(0),
-                                   plain_hyper, np.random.default_rng(404),
-                                   record_trajectory=True)
-    assert len(m_log.trajectory) == len(p_log.trajectory) == epochs
-    for mt, pt in zip(m_log.trajectory, p_log.trajectory):
+                                   plain_hyper, np.random.default_rng(404))
+    assert len(m_trajectory) == len(p_trajectory) == epochs
+    for mt, pt in zip(m_trajectory, p_trajectory):
         assert mt.max_abs_diff(pt) < 1e-5
 
 
-def test_meta_pretrain_checkpoints_best_validation_epoch(ds, obj):
+def test_meta_pretrain_checkpoints_best_validation_epoch(ds, obj, epoch_params):
     hyper = MetaHyper(M=2, M_dom=1, K=6, epochs=4, val_tasks=2)
     pool = np.arange(0, 90)
     val_pool = np.arange(90, 120)
     params = small_params(obj)
+    trajectory = epoch_params(meta)
     best, log = meta_pretrain(obj, params, ds, pool, val_pool, hyper,
-                              np.random.default_rng(31),
-                              record_trajectory=True)
+                              np.random.default_rng(31))
     vals = [e["val_loss"] for e in log.epochs]
     assert all(v is not None for v in vals)
     k = int(np.argmin(vals))
     assert log.best_epoch == k + 1
-    assert best.max_abs_diff(log.trajectory[k]) == 0.0
+    assert best.max_abs_diff(trajectory[k]) == 0.0
     # the checkpointed loss is reproducible because every epoch rebuilds
     # its validation generator from one seed drawn off the third stream
     r_val = np.random.default_rng(31).spawn(3)[2]

@@ -134,7 +134,8 @@ def test_predict_tie_breaks_low_and_preserves_order():
     assert np.array_equal(preds, one_by_one)
 
 
-def test_predict_small_batch_matches_big_batch():
+def test_predict_small_batch_matches_big_batch(monkeypatch):
+    from metareplay import metrics
     rng = np.random.default_rng(6)
     windows = rng.uniform(-1, 1, size=(9, 3, 64)).astype(np.float32)
     bundle = init_bundle("simclr", EncoderConfig(), 4,
@@ -142,8 +143,9 @@ def test_predict_small_batch_matches_big_batch():
     bundle = bundle.map(lambda n, a: np.asarray(
         np.random.default_rng(2).normal(size=a.shape), np.float32)
         if n == "clf.w" else a)
-    assert np.array_equal(predict(bundle, windows, EncoderConfig(), batch=4),
-                          predict(bundle, windows, EncoderConfig(), batch=256))
+    big = predict(bundle, windows, EncoderConfig())
+    monkeypatch.setattr(metrics, "EVAL_BATCH", 4)
+    assert np.array_equal(predict(bundle, windows, EncoderConfig()), big)
 
 
 def test_predict_records_no_graph():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -72,3 +73,24 @@ def test_every_module_uses_what_it_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_name_the_benchmark_traces_resolves(monkeypatch):
+    # perfbench/tracer.py wraps these by name; a refactor that deletes one
+    # fails here instead of in the benchmark's traced run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)   # its dataclasses look it up
+    spec.loader.exec_module(tracer)
+    missing = []
+    for mod_name, attr, _span, _windows in tracer.default_targets():
+        module = importlib.import_module(f"{tracer.PACKAGE}.{mod_name}")
+        if "." in attr:                 # Class.method, defined on the class itself
+            cls_name, method = attr.split(".")
+            found = method in vars(getattr(module, cls_name, type))
+        else:
+            found = callable(getattr(module, attr, None))
+        if not found:
+            missing.append(f"{mod_name}.{attr}")
+    assert missing == []
