@@ -3,7 +3,8 @@ JSON object whose keys are fields of its class; a field with a builder
 is built by it, an int field takes integral(value), and any other value
 goes to the class as given, whose __post_init__ checks it. A float field
 (float, Optional[float] or tuple[float, ...]) holds no bool, NaN or
-infinity, neither as given nor as built.
+infinity, neither as given nor as built, and as built it holds a real
+number (None only where Optional).
 """
 
 from __future__ import annotations
@@ -31,6 +32,15 @@ def finite(value):
     return value
 
 
+def real(value):
+    """value; ValueError unless it, or each entry of a tuple, is a finite
+    real number and not a bool."""
+    for v in value if isinstance(value, tuple) else (value,):
+        if not isinstance(v, numbers.Real):
+            raise ValueError(f"expected a number, got {v!r}")
+    return finite(value)
+
+
 def json_object(cfg, error: type[Exception], where: str, keys=None) -> dict:
     """A copy of cfg, which must be a JSON object with no key outside keys
     (when given); else error naming where."""
@@ -46,7 +56,8 @@ def from_config(cls, cfg, error: type[Exception], where: str, builders=None):
     """cls read from cfg by the rule above; builders maps a field name to
     its builder. A non-object, an unknown key, or a value that its builder
     rejects with TypeError or ValueError, or a float field that finite
-    rejects as given or as built, raises error naming where.key."""
+    rejects as given or real as built, raises error naming where.key; a
+    TypeError or ValueError from cls itself raises error naming where."""
     types = {f.name: f.type for f in fields(cls)}
     kwargs = json_object(cfg, error, where, types)
     builders = {**{name: integral for name, t in types.items() if t in ("int", int)},
@@ -62,11 +73,14 @@ def from_config(cls, cfg, error: type[Exception], where: str, builders=None):
             raise error(f"bad value for {where}.{name}: {e}") from None
     try:
         built = cls(**kwargs)
-    except TypeError as e:                  # a value of the wrong JSON type
+    except (TypeError, ValueError) as e:    # a wrong JSON type or out of range
         raise error(f"bad value in {where!r}: {e}") from None
     for name in floats:
+        value = getattr(built, name)
+        if value is None and types[name] == "Optional[float]":
+            continue
         try:
-            finite(getattr(built, name))    # a NaN read from a string such as "nan"
+            real(value)                     # "abc" left as given, or "nan" read by float()
         except ValueError as e:
             raise error(f"bad value for {where}.{name}: {e}") from None
     return built

@@ -224,7 +224,10 @@ def load_plan(source) -> ExperimentPlan:
             domains = tuple(from_config(DomainRecipe, r, PlanError,
                                         f"data.synth.recipes[{i}]")
                             for i, r in enumerate(_list("data.synth.recipes", recipes)))
-        synth_spec = SynthSpec(domains=domains, **sizes)
+        try:
+            synth_spec = SynthSpec(domains=domains, **sizes)
+        except ValueError as e:
+            raise PlanError(f"bad value in 'data.synth': {e}") from None
 
     try:
         objective = objective_from_config(section("pretext"))

@@ -19,6 +19,15 @@ An op output's ``data`` therefore lives only as long as the caller holds
 the Tensor or a vjp reads it: an encoder block's conv output dies as soon
 as its layer-norm has run, and ``conv1d`` rebuilds its im2col matrix in
 backward instead of keeping it.
+
+A vjp holds as little at once as its results allow, and the gradients
+stay bit for bit those of the plain expressions, memory layouts included
+(reductions round by memory order). So a vjp frees each buffer after its
+last read, writes in place only into arrays it allocated itself (never
+into the incoming gradient, which backward may also have handed to
+another input, nor into a saved buffer), and binds every product to a
+name before it meets another operand: numpy may otherwise write into a
+temporary operand and hand that operand's layout to the result.
 """
 
 from __future__ import annotations
@@ -572,12 +581,20 @@ def layer_norm(x: ArrayLike, *,
     y = xc * inv
 
     def norm_vjp(g):
+        # (g - gm - y * gy) * inv, written into g, which the caller hands
+        # over, and into the one temporary
         gm = g.mean(axis=axes, keepdims=True)
-        gy = (g * y).mean(axis=axes, keepdims=True)
-        return (g - gm - y * gy) * inv
+        tmp = g * y
+        gy = tmp.mean(axis=axes, keepdims=True)
+        g -= gm
+        g -= np.multiply(y, gy, out=tmp)
+        g *= inv
+        return g
 
     if epilogue is None:
-        return _result("layer_norm", y, (x,), lambda g: (norm_vjp(g),))
+        # a copy in g's own layout: backward may hand the same array to
+        # another input, and reductions downstream round by memory order
+        return _result("layer_norm", y, (x,), lambda g: (norm_vjp(g.copy(order="K")),))
 
     gain, bias = (as_tensor(p) for p in epilogue)
     for name, p in (("gain", gain), ("bias", bias)):
@@ -599,8 +616,10 @@ def layer_norm(x: ArrayLike, *,
         # named for the reason given in relu()
         gate = (out > 0).astype(np.float32)
         g = g * gate
-        return (norm_vjp(g * gd), _unbroadcast(g * y, g_shape),
-                _unbroadcast(g, b_shape))
+        del gate
+        dgain, dbias = _unbroadcast(g * y, g_shape), _unbroadcast(g, b_shape)
+        g = g * gd
+        return norm_vjp(g), dgain, dbias
 
     return _result("layer_norm", out, (x, gain, bias), vjp)
 
@@ -657,6 +676,7 @@ def conv1d(x: ArrayLike, w: ArrayLike, stride: int = 1, padding: int = 0) -> Ten
     def vjp(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * t_out, f)
         dw = (g2.T @ _im2col(xd, k, stride, padding, t_out)).reshape(f, c, k)
+        del g2
         dx = None
         if x_needs:                         # raw input windows need no dx
             # one product per sample lays the taps out [N, C, K, T_out], so
@@ -703,8 +723,13 @@ def global_mean_pool(x: ArrayLike) -> Tensor:
     if x.ndim != 3:
         raise ShapeError(f"global_mean_pool expects [N,C,T], got {x.shape}")
     t = x.shape[2]
-    return _result("global_mean_pool", x.data.mean(axis=2), (x,),
-                   lambda g: (np.repeat(g[:, :, None], t, axis=2) / t,))
+
+    def vjp(g):
+        dx = np.repeat(g[:, :, None], t, axis=2)
+        dx /= t
+        return (dx,)
+
+    return _result("global_mean_pool", x.data.mean(axis=2), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,25 @@ NOT_FINITE = [(json.loads(text), key) for text, key in [
      "data.synth.recipes[0].channel_gains"),
     ('{"data": {"synth": {"recipes": [{"channel_gains": [1, "nan", 1]}]}}}',
      "data.synth.recipes[0].channel_gains"),
+    # a float field with no builder keeps a string as given; it is no number
+    ('{"data": {"synth": {"recipes": [{"rotation_deg": "abc"}, {}]}}}',
+     "data.synth.recipes[0].rotation_deg"),
+    ('{"data": {"synth": {"recipes": [{}, {"phase": "1"}]}}}',
+     "data.synth.recipes[1].phase"),
 ]]
+
+# plans with a value that its config class rejects as out of range, and
+# the section each error names
+OUT_OF_RANGE = [
+    ({"finetune": {"lr": -1}}, "finetune"),
+    ({"replay": {"lr": 0}}, "replay"),
+    ({"meta": {"alpha": -1}}, "meta"),
+    ({"meta": {"M": 0}}, "meta"),
+    ({"data": {"synth": {"recipes": [{"gain": -1}, {}]}}}, "data.synth.recipes[0]"),
+    ({"data": {"synth": {"recipes": []}}}, "data.synth"),
+    ({"data": {"synth": {"n_classes": 0}}}, "data.synth"),
+    ({"data": {"synth": {"timesteps": 4}}}, "data.synth"),
+]
 
 
 def micro_plan_dict(**sweep_extra):
@@ -163,6 +181,10 @@ def test_mode_shot_seed_validation():
     # so do float fields given a bool, NaN or an infinity
     for plan, key in NOT_FINITE:
         with pytest.raises(PlanError, match=re.escape(f"bad value for {key}")):
+            load_plan(plan)
+    # a config class's own range error is a plan error naming its section
+    for plan, where in OUT_OF_RANGE:
+        with pytest.raises(PlanError, match=re.escape(f"bad value in {where!r}")):
             load_plan(plan)
     # a non-string data path fails at parse time, before it reaches plan.raw
     for path in (3, ["a"], {"x": 1}):

@@ -442,15 +442,15 @@ def test_backward_leaves_a_held_op_output_intact(rng):
     assert dh is None and dx is not None and dw is not None
 
 
-def _simclr_batch64():
-    """Default SimCLR bundle, a batch of 64 256-sample windows and a
-    training step that does not hold its loss across steps."""
+def _training_step(kind="simclr", batch=64):
+    """The default bundle of an objective kind, a batch of 256-sample
+    windows and a training step that does not hold its loss across steps."""
     from metareplay.optim import adam_step
     from metareplay.params import grad_of
-    from metareplay.pretext import SimCLRObjective, eval_ssl, init_for_objective
-    obj = SimCLRObjective()
+    from metareplay.pretext import OBJECTIVES, eval_ssl, init_for_objective
+    obj = OBJECTIVES[kind]()
     params = init_for_objective(obj, 4, np.random.default_rng(0))
-    x = np.random.default_rng(1).standard_normal((64, 3, 256)).astype(np.float32)
+    x = np.random.default_rng(1).standard_normal((batch, 3, 256)).astype(np.float32)
 
     def loss_of(params, seed):
         return eval_ssl(obj, params, x, np.random.default_rng(seed))
@@ -465,7 +465,7 @@ def test_grad_of_frees_the_graph_while_the_loss_is_held():
     import tracemalloc
 
     from metareplay.params import grad_of
-    params, loss_of, _step = _simclr_batch64()
+    params, loss_of, _step = _training_step()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -480,7 +480,7 @@ def test_grad_of_frees_the_graph_while_the_loss_is_held():
 
 def test_simclr_graph_keeps_only_what_backward_reads():
     import tracemalloc
-    params, loss_of, _step = _simclr_batch64()
+    params, loss_of, _step = _training_step()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -494,10 +494,69 @@ def test_simclr_graph_keeps_only_what_backward_reads():
     assert alive < 14 << 20
 
 
+@pytest.mark.parametrize("kind,budget_mib", [("simclr", 18), ("cpc", 9.5),
+                                             ("multitask", 9.5)])
+def test_backward_peak_stays_within_budget(kind, budget_mib):
+    import tracemalloc
+
+    from metareplay.params import grad_of
+    params, loss_of, _step = _training_step(kind)
+    tracemalloc.start()
+    try:
+        loss = loss_of(params, 0)
+        tracemalloc.reset_peak()
+        grad_of(loss, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the graph plus backward's buffers: 16.5 / 8.8 / 8.2 MiB; 20.6 / 10.9 /
+    # 10.3 MiB while the layer-norm, pooling and conv vjps held every
+    # buffer until they returned
+    assert peak < budget_mib * (1 << 20)
+
+
+# One training step's loss and parameter gradients (each gradient's name,
+# shape, strides and bytes), sha256-hashed per objective kind and batch:
+# a rounding or layout change anywhere in the engine moves them. BLAS
+# kernels round by build, so the digests hold for the numpy and BLAS
+# build they were recorded with.
+_STEP_BUILD = ("2.4.6", "scipy-openblas", "0.3.31.188.0")
+_STEP_DIGESTS = {
+    ("simclr", 64): "d4dd1364ce3e474e", ("simclr", 16): "24e873c3104dfed8",
+    ("cpc", 64): "da7f49376f396e66", ("cpc", 16): "2a38081ef2cdcac5",
+    ("multitask", 64): "7d4a17152f6c51d2", ("multitask", 16): "9a135a1b899cb246",
+}
+
+
+def _numpy_build():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):           # numpy before 1.26
+        return None
+    return np.__version__, blas.get("name"), blas.get("version")
+
+
+@pytest.mark.skipif(_numpy_build() != _STEP_BUILD,
+                    reason=f"digests recorded with numpy, BLAS {_STEP_BUILD}")
+@pytest.mark.parametrize("kind,batch", list(_STEP_DIGESTS))
+def test_one_training_step_is_pinned_to_the_byte(kind, batch):
+    import hashlib
+
+    from metareplay.params import grad_of
+    params, loss_of, _step = _training_step(kind, batch)
+    loss = loss_of(params, 2)
+    h = hashlib.sha256(loss.data.tobytes())
+    for name, g in grad_of(loss, params):
+        h.update(name.encode())
+        h.update(repr((g.data.shape, g.data.strides)).encode())
+        h.update(g.data.tobytes())
+    assert h.hexdigest()[:16] == _STEP_DIGESTS[kind, batch]
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
 def test_steady_training_steps_do_not_fault_the_heap_back_in():
     import resource
-    params, _loss_of, step = _simclr_batch64()
+    params, _loss_of, step = _training_step()
     state = None
     for seed in range(3):
         params, state = step(params, state, seed)
