@@ -20,14 +20,16 @@ the Tensor or a vjp reads it: an encoder block's conv output dies as soon
 as its layer-norm has run, and ``conv1d`` rebuilds its im2col matrix in
 backward instead of keeping it.
 
-A vjp holds as little at once as its results allow, and the gradients
-stay bit for bit those of the plain expressions, memory layouts included
-(reductions round by memory order). So a vjp frees each buffer after its
-last read, writes in place only into arrays it allocated itself (never
-into the incoming gradient, which backward may also have handed to
-another input, nor into a saved buffer), and binds every product to a
-name before it meets another operand: numpy may otherwise write into a
-temporary operand and hand that operand's layout to the result.
+The vjps of the ops that see block-sized arrays (``conv1d``,
+``layer_norm``, ``relu``, ``global_mean_pool``) hold as little at once as
+their results allow, and their gradients stay bit for bit those of the
+plain expressions, memory layouts included (reductions round by memory
+order). So such a vjp frees each buffer after its last read, writes in
+place only into arrays it allocated itself (never into the incoming
+gradient, which backward may also have handed to another input, nor into
+a saved buffer), and binds every product to a name before it meets
+another operand: numpy may otherwise write into a temporary operand and
+hand that operand's layout to the result.
 """
 
 from __future__ import annotations
