@@ -18,11 +18,11 @@ from .harness import (ExperimentPlan, PretrainHyper, SweepResult, domain_shift_s
 from .meta import (MetaHyper, MetaTask, generate_tasks, inner_adapt, meta_epoch,
                    meta_pretrain)
 from .metrics import ConfusionMatrix, MetricReport, accuracy, aggregate, macro_f1
-from .models import EncoderConfig, classify, encode, init_bundle, project
+from .models import EncoderConfig, classify, encode, project
 from .optim import AdamState, adam_step, sgd_step
 from .params import ParamVector
 from .pretext import (CPCObjective, MultiTaskObjective, SimCLRObjective, cpc_loss,
-                      eval_ssl, multitask_loss, simclr_loss)
+                      eval_ssl, init_for_objective, multitask_loss, simclr_loss)
 from .tensor import Tensor, backward
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "SynthSpec", "Tensor", "accuracy", "adam_step", "aggregate",
     "backward", "classify", "cpc_loss", "domain_shift_study", "dump_embeddings",
     "encode", "eval_ssl", "exclude_small_domains", "finetune", "generate_tasks",
-    "init_bundle", "inner_adapt", "leave_one_domain_out", "load_plan",
+    "init_for_objective", "inner_adapt", "leave_one_domain_out", "load_plan",
     "load_pretrained", "macro_f1", "make_split", "meta_epoch", "meta_pretrain",
     "multitask_loss", "normalize", "plain_pretrain", "pretext_replay", "project",
     "read_dataset", "run_pipeline", "save_pretrained", "sgd_step", "simclr_loss",

@@ -22,11 +22,13 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .config import from_config, real
+from .data import NormStats
 from .meta import inner_adapt
 from .models import CLF_PREFIX, ENC_PREFIX, EncoderConfig, classify, encode
 from .optim import adam_step
 from .params import ParamVector, grad_of
-from .pretext import (PretextError, PretextObjective, eval_ssl, min_batch,
+from .pretext import (PretextObjective, eval_ssl, min_batch,
                       objective_from_config, objective_kind, objective_to_config)
 
 
@@ -165,6 +167,7 @@ class PretrainedModel:
     method: str                      # "plain" or "meta"
     objective: PretextObjective      # encoder included
     n_classes: int
+    norm: Optional[NormStats] = None  # how the pre-training data was scaled
 
     def __post_init__(self):
         if self.method not in (PLAIN, META):
@@ -175,13 +178,31 @@ def save_pretrained(model: PretrainedModel, path) -> None:
     """ParamVector file plus a JSON sidecar (path + '.json'),
     {"method", "pretext", "n_classes"}, from which adaptation rebuilds the
     model; "pretext" is the objective's config, encoder included, as in a
-    plan file. Older sidecars keep the encoder in a top-level "encoder"."""
+    plan file. A model with normalization statistics adds "norm": {"mid",
+    "scale"}, one number per channel, which read back as the same float32
+    values. Older sidecars keep the encoder in a top-level "encoder"."""
     model.params.save(path)
     meta = {"method": model.method,
             "pretext": objective_to_config(model.objective),
             "n_classes": model.n_classes}
+    if model.norm is not None:
+        meta["norm"] = {"mid": model.norm.mid.tolist(),
+                        "scale": model.norm.scale.tolist()}
     with open(f"{path}.json", "w") as fh:
         json.dump(meta, fh, indent=1)
+
+
+def _per_channel(values) -> np.ndarray:
+    return np.asarray(real(tuple(values)), np.float32)
+
+
+def _norm_from_config(raw) -> NormStats:
+    norm = from_config(NormStats, raw, ConfigError, "norm",
+                       {"mid": _per_channel, "scale": _per_channel})
+    if norm.mid.size == 0 or norm.mid.shape != norm.scale.shape:
+        raise ConfigError(f"norm needs mid and scale of one number per channel, "
+                          f"got {raw!r}")
+    return norm
 
 
 def load_pretrained(path) -> PretrainedModel:
@@ -195,10 +216,12 @@ def load_pretrained(path) -> PretrainedModel:
         pretext = dict(meta["pretext"])
         if "encoder" in meta:                    # an older sidecar
             pretext["encoder"] = meta["encoder"]
+        norm = meta.get("norm")
         return PretrainedModel(params=params, method=meta["method"],
                                objective=objective_from_config(pretext),
-                               n_classes=int(meta.get("n_classes", 0)))
-    except (KeyError, TypeError, PretextError) as e:
+                               n_classes=int(meta.get("n_classes", 0)),
+                               norm=None if norm is None else _norm_from_config(norm))
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"malformed model sidecar {path}.json: {e!r}") from None
 
 

@@ -16,10 +16,10 @@ import sys
 
 import numpy as np
 
-from .adapt import (END_TO_END, LINEAR, MODES, PLAIN, FinetuneConfig, ReplayConfig,
-                    load_pretrained, run_pipeline, save_pretrained)
-from .data import (SplitPlan, default_synth_spec, make_split, normalize, read_dataset,
-                   synth_generate, write_dataset)
+from .adapt import (END_TO_END, LINEAR, MODES, PLAIN, ConfigError, FinetuneConfig,
+                    ReplayConfig, load_pretrained, run_pipeline, save_pretrained)
+from .data import (SplitPlan, apply_norm, default_synth_spec, make_split, normalize,
+                   read_dataset, synth_generate, write_dataset)
 from .harness import (domain_shift_study, dump_embeddings, leave_one_domain_out,
                       load_plan, load_plan_dataset, pretrain_for_target)
 from .metrics import evaluate
@@ -66,6 +66,18 @@ def cmd_make_split(args) -> int:
     return 0
 
 
+def _normalized(ds, model, pool):
+    """ds scaled as the model's pre-training data was: by the statistics
+    its sidecar stores, or, for a sidecar without them, by those of the
+    windows in pool (all windows when None)."""
+    if model.norm is None:
+        return normalize(ds, pool)
+    if model.norm.mid.size != ds.channels:
+        raise ConfigError(f"the model was pre-trained on {model.norm.mid.size} channels, "
+                          f"the dataset has {ds.channels}")
+    return apply_norm(ds, model.norm)
+
+
 def _adapt_and_report(args, model, mode: str, replay_cfg: ReplayConfig,
                       ft_cfg: FinetuneConfig):
     """Run one pipeline arm on the split, save the bundle with a log
@@ -73,7 +85,7 @@ def _adapt_and_report(args, model, mode: str, replay_cfg: ReplayConfig,
     ds = read_dataset(args.data)
     split = SplitPlan.load_json(args.split)
     split.validate_against(ds)
-    dsn = normalize(ds, split.pretrain_train)
+    dsn = _normalized(ds, model, split.pretrain_train)
     rng = np.random.default_rng(args.seed)
     bundle, record = run_pipeline(mode, model, dsn, split, replay_cfg, ft_cfg, rng)
     bundle.save(args.out)
@@ -136,7 +148,7 @@ def cmd_dump_embeddings(args) -> int:
     split = SplitPlan.load_json(args.split) if args.split else None
     if split:
         split.validate_against(ds)
-    dsn = normalize(ds, split.pretrain_train if split else None)
+    dsn = _normalized(ds, model, split.pretrain_train if split else None)
     dump_embeddings(model.params, dsn, args.out, model.objective.encoder)
     print(f"wrote {dsn.n_windows} embedding rows to {args.out}")
     return 0
@@ -211,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("dump-embeddings", help="write encoder embeddings as CSV")
     s.add_argument("--model", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--split", help="normalize with this split's pretraining pool")
+    s.add_argument("--split", help="normalize with this split's pretraining pool "
+                                     "when the model stores no statistics")
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_dump_embeddings)
     return p

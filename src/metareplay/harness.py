@@ -38,9 +38,9 @@ from .adapt import (FinetuneConfig, PretrainedModel, ReplayConfig, _MODE_NEEDS, 
                     META, finetune, run_pipeline, save_pretrained)
 from .augment import Rotate3D
 from .config import finite, from_config, integral, json_object
-from .data import (Dataset, DomainRecipe, SynthSpec, default_synth_spec,
-                   exclude_small_domains, make_split, normalize, pool_split,
-                   read_dataset, stratified_shot_split, synth_generate)
+from .data import (Dataset, DomainRecipe, SynthSpec, apply_norm, compute_norm_stats,
+                   default_synth_spec, exclude_small_domains, make_split, normalize,
+                   pool_split, read_dataset, stratified_shot_split, synth_generate)
 from .meta import MetaHyper, TrainLog, meta_pretrain, train_epochs
 from .metrics import EVAL_BATCH, aggregate, evaluate
 from .models import EncoderConfig, encode
@@ -202,6 +202,8 @@ def load_plan(source) -> ExperimentPlan:
     if data_path is not None and not isinstance(data_path, str):
         raise PlanError(f"data.path must be a string, got {data_path!r}")
     min_count = _coerce("data.min_count", int, data.get("min_count", 50))
+    if min_count < 0:
+        raise PlanError(f"bad value in 'data': min_count must be >= 0, got {min_count}")
     synth_cfg = data.get("synth")
     synth_spec = None
     synth_seed = 0
@@ -224,6 +226,9 @@ def load_plan(source) -> ExperimentPlan:
             domains = tuple(from_config(DomainRecipe, r, PlanError,
                                         f"data.synth.recipes[{i}]")
                             for i, r in enumerate(_list("data.synth.recipes", recipes)))
+            if "n_domains" in synth_cfg and n_domains != len(domains):
+                raise PlanError(f"bad value in 'data.synth': n_domains {n_domains} "
+                                f"disagrees with the {len(domains)} recipes")
         try:
             synth_spec = SynthSpec(domains=domains, **sizes)
         except ValueError as e:
@@ -430,14 +435,16 @@ def pretrain_for_target(plan: ExperimentPlan, ds: Dataset, target: int,
     """Pre-train one model ("plain" or "meta") with domain `target` held out.
 
     Normalization statistics come from the pretraining pool only and are
-    applied to the whole dataset; the normalized dataset is returned so
-    the adaptation stage sees the same scaling the model was trained on.
+    applied to the whole dataset. The model carries them (norm) and the
+    normalized dataset is returned, so the adaptation stage sees the same
+    scaling the model was trained on.
     The initial parameters are keyed by target only, so both methods start
     from one init and a method comparison carries no init effect; the
     training stream is keyed by (target, method).
     """
     ref = make_split(ds, target, k=1, seed=seed_of(plan, "split", target))
-    dsn = normalize(ds, ref.pretrain_train)
+    norm = compute_norm_stats(ds.values[ref.pretrain_train])
+    dsn = apply_norm(ds, norm)
     init = init_for_objective(plan.objective, ds.n_classes,
                               rng_for(plan.master_seed, "init", target), ds.channels)
     rng = rng_for(plan.master_seed, "pretrain", target, method)
@@ -448,7 +455,7 @@ def pretrain_for_target(plan: ExperimentPlan, ds: Dataset, target: int,
         params, log = plain_pretrain(plan.objective, init, dsn, ref.pretrain_train,
                                      ref.pretrain_val, plan.plain_hyper, rng)
     model = PretrainedModel(params=params, method=method, objective=plan.objective,
-                            n_classes=ds.n_classes)
+                            n_classes=ds.n_classes, norm=norm)
     return model, log, dsn
 
 

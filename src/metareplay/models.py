@@ -76,48 +76,16 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
     return items
 
 
-def _dense(name: str, n_in: int, n_out: int, rng: np.random.Generator,
-           zero: bool = False) -> list[tuple[str, Tensor]]:
+def init_dense(name: str, n_in: int, n_out: int, rng: np.random.Generator,
+               zero: bool = False) -> list[tuple[str, Tensor]]:
+    """A linear layer: name.w [n_in, n_out] drawn N(0, 1/n_in), or zero,
+    and a zero bias name.b."""
     if zero:
         w = np.zeros((n_in, n_out), np.float32)
     else:
         w = rng.normal(0.0, np.sqrt(1.0 / n_in), size=(n_in, n_out)).astype(np.float32)
     return [(f"{name}.w", Tensor(w, requires_grad=True)),
             (f"{name}.b", Tensor(np.zeros(n_out, np.float32), requires_grad=True))]
-
-
-def init_bundle(kind: str, cfg: EncoderConfig, n_classes: int,
-                rng: np.random.Generator, proj_dim: int = 50, horizon: int = 2,
-                n_det_heads: int = 6, in_channels: int = 3) -> ParamVector:
-    """Fresh ModelBundle for one pretext kind.
-
-    kind: "simclr" (projection head), "cpc" (recurrent aggregator +
-    per-step predictors), or "multitask" (detection heads). The linear
-    classifier is always present and starts at zero (uniform logits).
-    """
-    d = cfg.embedding_dim
-    items = init_encoder_params(cfg, rng, in_channels)
-    if kind == "simclr":
-        items += _dense("head.proj", d, proj_dim, rng)
-    elif kind == "cpc":
-        std = np.sqrt(1.0 / d)
-        for name, shape in (("head.gru.wx", (d, 3 * d)), ("head.gru.wh", (d, 3 * d))):
-            items.append((name, Tensor(rng.normal(0.0, std, size=shape).astype(np.float32),
-                                       requires_grad=True)))
-        for name in ("head.gru.bx", "head.gru.bh"):
-            items.append((name, Tensor(np.zeros(3 * d, np.float32), requires_grad=True)))
-        if horizon < 1:
-            raise ShapeError(f"horizon must be >= 1, got {horizon}")
-        for h in range(1, horizon + 1):
-            items += _dense(f"head.pred{h}", d, d, rng)
-    elif kind == "multitask":
-        if n_det_heads < 1:
-            raise ShapeError(f"need at least one detection head, got {n_det_heads}")
-        items += _dense("head.det", d, n_det_heads, rng)
-    else:
-        raise ShapeError(f"unknown pretext kind {kind!r}")
-    items += _dense("clf", d, n_classes, rng, zero=True)
-    return ParamVector(items)
 
 
 # ---------------------------------------------------------------------------

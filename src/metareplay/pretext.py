@@ -6,9 +6,11 @@ predictive-contrastive (InfoNCE on future frame embeddings), and
 multi-task augmentation detection (per-kind binary heads). An objective
 describes the whole self-supervised network: its last field is the
 encoder its loss runs through, so pre-training, the meta inner loop and
-replay all build one network. Its JSON form is a plan's "pretext"
-section and a model sidecar's "pretext" entry. eval_ssl is the single
-entry point the pre-training and adaptation loops call.
+replay all build one network. Everything that differs between the three
+lives on the objective's class: its kind name, the smallest batch it can
+score, its head's initializer and its loss. Its JSON form is a plan's
+"pretext" section and a model sidecar's "pretext" entry. eval_ssl is the
+single entry point the pre-training and adaptation loops call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .augment import (AugmentKind, default_multitask_kinds, default_simclr_pipel
 from .config import from_config, json_object
 from .models import (EncoderConfig, aggregate_and_predict, detect, encode,
                      encode_frames, encoder_from_config, encoder_to_config,
-                     init_bundle, project, split_frames)
+                     init_dense, init_encoder_params, project, split_frames)
 from .params import ParamVector
 from .tensor import ShapeError, Tensor
 
@@ -36,6 +38,9 @@ class PretextError(ValueError):
 
 @dataclass(frozen=True)
 class SimCLRObjective:
+    # kind and min_batch are class attributes, not fields: no config or hash holds them
+    kind = "simclr"
+    min_batch = 2          # negatives need company
     tau: float = 0.1
     pipeline: tuple[AugmentKind, ...] = field(default_factory=default_simclr_pipeline)
     proj_dim: int = 50
@@ -48,9 +53,20 @@ class SimCLRObjective:
         if not self.pipeline:
             raise PretextError("pipeline must contain at least one augmentation kind")
 
+    def init_head(self, d: int, rng: np.random.Generator) -> list[tuple[str, Tensor]]:
+        return init_dense("head.proj", d, self.proj_dim, rng)
+
+    def loss(self, params: ParamVector, windows: np.ndarray,
+             rng: np.random.Generator) -> Tensor:
+        views = paired_views_batch(windows, self.pipeline, rng)
+        z = project(params, encode(params, views, self.encoder))
+        return simclr_loss(z, self.tau)
+
 
 @dataclass(frozen=True)
 class CPCObjective:
+    kind = "cpc"
+    min_batch = 2
     tau: float = 1.0
     horizon: int = 2
     frame_len: int = 32
@@ -64,9 +80,34 @@ class CPCObjective:
         if self.frame_len < 8:
             raise PretextError(f"frame_len {self.frame_len} too short to encode")
 
+    def init_head(self, d: int, rng: np.random.Generator) -> list[tuple[str, Tensor]]:
+        std = np.sqrt(1.0 / d)
+        items = [(name, Tensor(rng.normal(0.0, std, size=(d, 3 * d)).astype(np.float32),
+                               requires_grad=True))
+                 for name in ("head.gru.wx", "head.gru.wh")]
+        items += [(name, Tensor(np.zeros(3 * d, np.float32), requires_grad=True))
+                  for name in ("head.gru.bx", "head.gru.bh")]
+        for h in range(1, self.horizon + 1):
+            items += init_dense(f"head.pred{h}", d, d, rng)
+        return items
+
+    def loss(self, params: ParamVector, windows: np.ndarray,
+             rng: np.random.Generator) -> Tensor:
+        frames = split_frames(windows, windows.shape[2] // self.frame_len)
+        emb = encode_frames(params, frames, self.encoder)
+        steps = emb.shape[1]
+        if self.horizon >= steps:
+            raise PretextError(f"horizon {self.horizon} needs more than "
+                               f"{steps} frames per window")
+        _ctx, preds = aggregate_and_predict(params, emb, self.horizon)
+        targets = emb[:, steps - self.horizon:, :]
+        return cpc_loss(preds, targets, self.tau)
+
 
 @dataclass(frozen=True)
 class MultiTaskObjective:
+    kind = "multitask"
+    min_batch = 1
     kinds: tuple[AugmentKind, ...] = field(default_factory=default_multitask_kinds)
     apply_prob: float = 0.5
     encoder: EncoderConfig = EncoderConfig()
@@ -78,24 +119,29 @@ class MultiTaskObjective:
             raise PretextError(f"apply_prob must be in [0,1], got {self.apply_prob}")
         object.__setattr__(self, "kinds", tuple(self.kinds))
 
+    def init_head(self, d: int, rng: np.random.Generator) -> list[tuple[str, Tensor]]:
+        return init_dense("head.det", d, len(self.kinds), rng)
+
+    def loss(self, params: ParamVector, windows: np.ndarray,
+             rng: np.random.Generator) -> Tensor:
+        aug, labels = sample_task_batch(windows, self.kinds, rng, self.apply_prob)
+        logits = detect(params, encode(params, aug, self.encoder))
+        return multitask_loss(logits, labels)
+
 
 PretextObjective = Union[SimCLRObjective, CPCObjective, MultiTaskObjective]
 
 # kind name -> objective class; the classes' fields are the config keys
-OBJECTIVES = {"simclr": SimCLRObjective, "cpc": CPCObjective,
-              "multitask": MultiTaskObjective}
-_KIND_OF = {cls: kind for kind, cls in OBJECTIVES.items()}
+OBJECTIVES = {cls.kind: cls for cls in (SimCLRObjective, CPCObjective, MultiTaskObjective)}
 
 
 def objective_kind(obj: PretextObjective) -> str:
-    return _KIND_OF[type(obj)]
+    return obj.kind
 
 
 def min_batch(obj: PretextObjective) -> int:
-    """Smallest batch the objective can score (negatives need company)."""
-    if isinstance(obj, (SimCLRObjective, CPCObjective)):
-        return 2
-    return 1
+    """Smallest batch the objective can score."""
+    return obj.min_batch
 
 
 def pretext_kind(name) -> str:
@@ -121,7 +167,7 @@ def objective_from_config(cfg: dict) -> PretextObjective:
     rejected key or value raises PretextError naming pretext.key.
     """
     cfg = json_object(cfg, PretextError, "pretext")
-    cls = OBJECTIVES[pretext_kind(cfg.pop("kind", "simclr"))]
+    cls = OBJECTIVES[pretext_kind(cfg.pop("kind", SimCLRObjective.kind))]
     return from_config(cls, cfg, PretextError, "pretext", _BUILDERS)
 
 
@@ -140,15 +186,14 @@ def objective_to_config(obj: PretextObjective) -> dict:
 
 def init_for_objective(obj: PretextObjective, n_classes: int, rng: np.random.Generator,
                        in_channels: int = 3) -> ParamVector:
-    """A fresh bundle of the objective's network for in_channels inputs."""
-    if isinstance(obj, SimCLRObjective):
-        head = {"proj_dim": obj.proj_dim}
-    elif isinstance(obj, CPCObjective):
-        head = {"horizon": obj.horizon}
-    else:
-        head = {"n_det_heads": len(obj.kinds)}
-    return init_bundle(objective_kind(obj), obj.encoder, n_classes, rng,
-                       in_channels=in_channels, **head)
+    """A fresh bundle of the objective's network for in_channels inputs:
+    the encoder, the objective's head, then the linear classifier, which
+    starts at zero (uniform logits). Draws come from rng in that order."""
+    d = obj.encoder.embedding_dim
+    items = init_encoder_params(obj.encoder, rng, in_channels)
+    items += obj.init_head(d, rng)
+    items += init_dense("clf", d, n_classes, rng, zero=True)
+    return ParamVector(items)
 
 
 # ---------------------------------------------------------------------------
@@ -220,33 +265,15 @@ def eval_ssl(obj: PretextObjective, params: ParamVector, windows: np.ndarray,
              rng: np.random.Generator) -> Tensor:
     """The scalar pretext loss of one batch of raw windows [n, C, T].
 
-    Runs augmentation / frame splitting as the objective requires, then
-    the encoder and its head. Deterministic given the rng seed; gradients
-    flow to every bundle parameter the objective touches.
+    Checks the batch's shape and size, then returns the objective's
+    loss, which runs its augmentation or frame splitting, the encoder and
+    its head. Deterministic given the rng seed; gradients flow to every
+    bundle parameter the objective touches.
     """
     windows = np.asarray(windows, dtype=np.float32)
     if windows.ndim != 3:
         raise ShapeError(f"expected a batch [n, C, T], got shape {windows.shape}")
     n = windows.shape[0]
-    if n < min_batch(obj):
-        raise PretextError(f"batch of {n} below objective minimum {min_batch(obj)}")
-
-    if isinstance(obj, SimCLRObjective):
-        views = paired_views_batch(windows, obj.pipeline, rng)
-        z = project(params, encode(params, views, obj.encoder))
-        return simclr_loss(z, obj.tau)
-
-    if isinstance(obj, CPCObjective):
-        frames = split_frames(windows, windows.shape[2] // obj.frame_len)
-        emb = encode_frames(params, frames, obj.encoder)
-        steps = emb.shape[1]
-        if obj.horizon >= steps:
-            raise PretextError(f"horizon {obj.horizon} needs more than "
-                               f"{steps} frames per window")
-        _ctx, preds = aggregate_and_predict(params, emb, obj.horizon)
-        targets = emb[:, steps - obj.horizon:, :]
-        return cpc_loss(preds, targets, obj.tau)
-
-    aug, labels = sample_task_batch(windows, obj.kinds, rng, obj.apply_prob)
-    logits = detect(params, encode(params, aug, obj.encoder))
-    return multitask_loss(logits, labels)
+    if n < obj.min_batch:
+        raise PretextError(f"batch of {n} below objective minimum {obj.min_batch}")
+    return obj.loss(params, windows, rng)

@@ -14,7 +14,7 @@ from metareplay.adapt import (AdaptError, ConfigError, FinetuneConfig,
                               PretrainedModel, ReplayConfig, finetune,
                               load_pretrained, pretext_replay, run_pipeline,
                               save_pretrained)
-from metareplay.data import Dataset, make_split
+from metareplay.data import Dataset, compute_norm_stats, make_split
 from metareplay.models import EncoderConfig, encoder_to_config
 from metareplay.optim import sgd_step
 from metareplay.params import ParamVector, grad_of
@@ -235,6 +235,18 @@ def test_pretrained_round_trip(tmp_path, obj):
     assert back.n_classes == 4
 
 
+def test_pretrained_round_trips_its_norm_stats(tmp_path, obj, ds):
+    norm = compute_norm_stats(ds.values * np.float32(1 / 3))   # values with long expansions
+    path = tmp_path / "normed.adp2"
+    save_pretrained(PretrainedModel(params=params_for(obj), method="plain", objective=obj,
+                                    n_classes=4, norm=norm), path)
+    assert list(json.loads((tmp_path / "normed.adp2.json").read_text())["norm"]) == \
+        ["mid", "scale"]
+    back = load_pretrained(path).norm
+    for a, b in ((back.mid, norm.mid), (back.scale, norm.scale)):
+        assert a.dtype == np.float32 and a.tobytes() == b.tobytes()
+
+
 def test_pretrained_missing_sidecar(tmp_path, obj):
     params = params_for(obj)
     params.save(tmp_path / "bare.adp2")
@@ -304,6 +316,16 @@ MALFORMED_SIDECARS += [({"method": "meta", "pretext": pretext}, key) for pretext
     ({"kind": "cpc", "tau": "nan"}, "pretext.tau"),
     ({"kind": "multitask", "apply_prob": True}, "pretext.apply_prob"),
     ({"pipeline": [{"kind": "jitter", "sigma": float("inf")}]}, "jitter.sigma")]]
+# a "norm" entry that is not one finite number per channel in mid and scale
+MALFORMED_SIDECARS += [({"method": "meta", "pretext": {}, "norm": norm}, key)
+                       for norm, key in [
+    ([1.0], "norm must be a JSON object"), ({"mid": [0.0]}, "scale"),
+    ({"mid": [0.0], "scale": [1.0], "lo": [0.0]}, "unknown keys in 'norm'"),
+    ({"mid": [0.0, 0.0], "scale": [1.0]}, "one number per channel"),
+    ({"mid": [], "scale": []}, "one number per channel"),
+    ({"mid": [0.0], "scale": ["1"]}, "expected a number"),
+    ({"mid": [True], "scale": [1.0]}, "expected a finite number"),
+    ({"mid": [0.0], "scale": [float("nan")]}, "expected a finite number")]]
 
 
 @pytest.mark.parametrize("sidecar,key", MALFORMED_SIDECARS,

@@ -1,13 +1,17 @@
 """End-to-end runs of every CLI subcommand on a micro synthetic setup."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from metareplay.adapt import FinetuneConfig, ReplayConfig, load_pretrained, run_pipeline
 from metareplay.cli import main
-from metareplay.data import SplitPlan, read_dataset
-from metareplay.adapt import load_pretrained
+from metareplay.data import SplitPlan, normalize, read_dataset, write_dataset
+from metareplay.harness import load_plan, load_plan_dataset, pretrain_for_target
+from metareplay.metrics import evaluate
+from metareplay.params import ParamVector
 
 
 MICRO_PLAN = {
@@ -94,6 +98,29 @@ def test_adapt_full_pipeline(workdir, capsys):
     assert 0.0 <= log["test"]["macro_f1"] <= 1.0
 
 
+def test_adapt_scales_data_as_pretraining_did(workdir):
+    # the split file's seed (3) is not the plan's split seed, so its
+    # pretraining pool differs from the one the model's scaling came from;
+    # adapt must still see the data as pre-training saw it
+    plan = load_plan(workdir / "plan.json")
+    model, _log, dsn = pretrain_for_target(plan, load_plan_dataset(plan), 0, "plain")
+    split = SplitPlan.load_json(workdir / "split.json")
+    ds = read_dataset(workdir / "data.ads")
+    assert not np.array_equal(normalize(ds, split.pretrain_train).values, dsn.values)
+
+    assert main(["adapt", "--model", str(workdir / "plain.adp2"),
+                 "--data", str(workdir / "data.ads"),
+                 "--split", str(workdir / "split.json"), "--mode", "baseline",
+                 "--seed", "4", "--out", str(workdir / "scaled.npz")]) == 0
+    bundle, _record = run_pipeline("baseline", model, dsn, split, ReplayConfig(),
+                                   FinetuneConfig(), np.random.default_rng(4))
+    report = evaluate(bundle, dsn.values[split.target_test], dsn.labels[split.target_test],
+                      ds.n_classes, 4, "", model.objective.encoder)
+    log = json.loads((workdir / "scaled.npz.log.json").read_text())
+    assert log["test"]["macro_f1"] == report.macro_f1
+    assert ParamVector.load(workdir / "scaled.npz").max_abs_diff(bundle) == 0.0
+
+
 def test_adapt_mode_model_mismatch(workdir, capsys):
     rc = main(["adapt", "--model", str(workdir / "plain.adp2"),
                "--data", str(workdir / "data.ads"),
@@ -162,6 +189,17 @@ def test_bad_inputs_exit_2(workdir, tmp_path, capsys):
                  "--split", str(workdir / "split.json"),
                  "--out", str(tmp_path / "y.npz")]) == 2
     capsys.readouterr()
+
+
+def test_adapt_rejects_data_of_other_channels(workdir, tmp_path, capsys):
+    # one channel would broadcast against the model's three-channel scaling
+    ds = read_dataset(workdir / "data.ads")
+    write_dataset(replace(ds, values=ds.values[:, :1]), tmp_path / "one.ads")
+    assert main(["adapt", "--model", str(workdir / "plain.adp2"),
+                 "--data", str(tmp_path / "one.ads"),
+                 "--split", str(workdir / "split.json"), "--mode", "baseline",
+                 "--out", str(tmp_path / "x.npz")]) == 2
+    assert "pre-trained on 3 channels, the dataset has 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["adapt", "finetune", "dump-embeddings"])

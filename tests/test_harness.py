@@ -18,7 +18,7 @@ from metareplay.harness import (PRESETS, ExperimentPlan, PlanError,
                                 load_plan_dataset, plain_pretrain,
                                 pretrain_for_target, rng_for, seed_of,
                                 seed_seq)
-from metareplay.models import EncoderConfig, init_bundle
+from metareplay.models import EncoderConfig
 from metareplay.pretext import SimCLRObjective, init_for_objective, objective_to_config
 
 
@@ -68,6 +68,8 @@ OUT_OF_RANGE = [
     ({"data": {"synth": {"recipes": []}}}, "data.synth"),
     ({"data": {"synth": {"n_classes": 0}}}, "data.synth"),
     ({"data": {"synth": {"timesteps": 4}}}, "data.synth"),
+    ({"data": {"synth": {"n_domains": 2, "recipes": [{}, {}, {}]}}}, "data.synth"),
+    ({"data": {"min_count": -5}}, "data"),
 ]
 
 
@@ -186,6 +188,8 @@ def test_mode_shot_seed_validation():
     for plan, where in OUT_OF_RANGE:
         with pytest.raises(PlanError, match=re.escape(f"bad value in {where!r}")):
             load_plan(plan)
+    with pytest.raises(PlanError, match="n_domains 2 disagrees with the 3 recipes"):
+        load_plan(OUT_OF_RANGE[-2][0])
     # a non-string data path fails at parse time, before it reaches plan.raw
     for path in (3, ["a"], {"x": 1}):
         with pytest.raises(PlanError, match="data.path must be a string"):
@@ -704,7 +708,7 @@ def test_dump_embeddings(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "EVAL_BATCH", 7)   # rows span several batches
     plan = load_plan(micro_plan_dict())
     ds = load_plan_dataset(plan)
-    params = init_bundle("simclr", EncoderConfig(), 2, np.random.default_rng(0))
+    params = init_for_objective(SimCLRObjective(), 2, np.random.default_rng(0))
     path = tmp_path / "emb.csv"
     dump_embeddings(params, ds, path, EncoderConfig())
     lines = path.read_text().strip().split("\n")

@@ -7,7 +7,8 @@ import pytest
 from metareplay.metrics import (ConfusionMatrix, MetricsError, accuracy,
                                 aggregate, evaluate, macro_f1, per_class_f1,
                                 predict)
-from metareplay.models import EncoderConfig, init_bundle
+from metareplay.models import EncoderConfig
+from metareplay.pretext import SimCLRObjective, init_for_objective
 
 
 def cm(rows):
@@ -123,8 +124,7 @@ def test_empty_matrix_rejected():
 def test_predict_tie_breaks_low_and_preserves_order():
     rng = np.random.default_rng(5)
     windows = rng.uniform(-1, 1, size=(7, 3, 64)).astype(np.float32)
-    bundle = init_bundle("simclr", EncoderConfig(), 3,
-                         np.random.default_rng(0))
+    bundle = init_for_objective(SimCLRObjective(), 3, np.random.default_rng(0))
     # zero classifier -> all logits equal -> everything class 0
     preds = predict(bundle, windows, EncoderConfig())
     assert preds.tolist() == [0] * 7
@@ -138,8 +138,7 @@ def test_predict_small_batch_matches_big_batch(monkeypatch):
     from metareplay import metrics
     rng = np.random.default_rng(6)
     windows = rng.uniform(-1, 1, size=(9, 3, 64)).astype(np.float32)
-    bundle = init_bundle("simclr", EncoderConfig(), 4,
-                         np.random.default_rng(1))
+    bundle = init_for_objective(SimCLRObjective(), 4, np.random.default_rng(1))
     bundle = bundle.map(lambda n, a: np.asarray(
         np.random.default_rng(2).normal(size=a.shape), np.float32)
         if n == "clf.w" else a)
@@ -151,8 +150,7 @@ def test_predict_small_batch_matches_big_batch(monkeypatch):
 def test_predict_records_no_graph():
     import tracemalloc
     windows = np.random.default_rng(8).standard_normal((256, 3, 256)).astype(np.float32)
-    bundle = init_bundle("simclr", EncoderConfig(), 4,
-                         np.random.default_rng(0))
+    bundle = init_for_objective(SimCLRObjective(), 4, np.random.default_rng(0))
     tracemalloc.start()
     try:
         predict(bundle, windows, EncoderConfig())
@@ -167,8 +165,7 @@ def test_evaluate_report_fields():
     rng = np.random.default_rng(7)
     windows = rng.uniform(-1, 1, size=(10, 3, 64)).astype(np.float32)
     labels = np.zeros(10, dtype=np.int64)
-    bundle = init_bundle("simclr", EncoderConfig(), 2,
-                         np.random.default_rng(1))
+    bundle = init_for_objective(SimCLRObjective(), 2, np.random.default_rng(1))
     rep = evaluate(bundle, windows, labels, 2, seed=11, config_hash="abc",
                    encoder=EncoderConfig())
     # zero classifier predicts class 0 everywhere; labels are all 0

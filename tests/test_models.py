@@ -8,9 +8,10 @@ import pytest
 from metareplay import tensor as T
 from metareplay.models import (EncoderConfig, aggregate_and_predict, classify,
                                encode, encode_frames,
-                               encoder_from_config, encoder_to_config, init_bundle,
+                               encoder_from_config, encoder_to_config,
                                project, split_frames)
 from metareplay.params import ParamVector
+from metareplay.pretext import OBJECTIVES, init_for_objective
 from metareplay.tensor import ShapeError, Tensor
 
 
@@ -24,7 +25,7 @@ def rng():
 
 def bundle(kind="simclr", rng=None, n_classes=4):
     rng = rng or np.random.default_rng(21)
-    return init_bundle(kind, ENC, n_classes, rng)
+    return init_for_objective(OBJECTIVES[kind](encoder=ENC), n_classes, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +193,6 @@ def test_encoder_config_json_round_trip():
         encoder_from_config({**raw, "depth": 2})
     with pytest.raises(ShapeError, match="exactly the keys"):
         encoder_from_config({"blocks": raw["blocks"]})
-
-
-def test_bundle_rejects_unknown_kind(rng):
-    with pytest.raises(ValueError):
-        init_bundle("masked", ENC, 4, rng)
 
 
 def test_gradients_reach_every_encoder_param(rng):

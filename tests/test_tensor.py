@@ -553,6 +553,28 @@ def test_one_training_step_is_pinned_to_the_byte(kind, batch):
     assert h.hexdigest()[:16] == _STEP_DIGESTS[kind, batch]
 
 
+# Each objective's default bundle as init_for_objective draws it from
+# default_rng(0): every entry's name, shape, strides and bytes, hashed.
+# Moving a head's initializer or its draws moves the digest. No BLAS call
+# is involved, so the digests do not depend on the build.
+_INIT_DIGESTS = {"simclr": "e117deabcd2d8ad4", "cpc": "4455b176d020e043",
+                 "multitask": "39c7aaee1f16ba53"}
+
+
+@pytest.mark.parametrize("kind", list(_INIT_DIGESTS))
+def test_initial_bundle_is_pinned_to_the_byte(kind):
+    import hashlib
+
+    from metareplay.pretext import OBJECTIVES, init_for_objective
+    params = init_for_objective(OBJECTIVES[kind](), 4, np.random.default_rng(0))
+    h = hashlib.sha256()
+    for name, p in params:
+        h.update(name.encode())
+        h.update(repr((p.data.shape, p.data.strides)).encode())
+        h.update(p.data.tobytes())
+    assert h.hexdigest()[:16] == _INIT_DIGESTS[kind]
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
 def test_steady_training_steps_do_not_fault_the_heap_back_in():
     import resource
